@@ -24,11 +24,11 @@
 
 use dlbench_adversarial::{fgsm, jsma, pgd, FgsmConfig, JsmaConfig, PgdConfig};
 use dlbench_bench::BENCH_SEED;
-use dlbench_data::{Dataset, DatasetKind, Preprocessing};
+use dlbench_data::{Dataset, DatasetKind};
 use dlbench_frameworks::{trainer, DefaultSetting, FrameworkKind, Scale};
-use dlbench_json::JsonValue;
+use dlbench_json::{JsonValue, ToJson};
 use dlbench_nn::Network;
-use dlbench_quant::{cost_split, quantize_checkpoint, QuantConfig, QuantizedNetwork};
+use dlbench_quant::{calibration, cost_split, quantize_checkpoint, QuantConfig};
 use dlbench_simtime::{devices, CostModel};
 use dlbench_tensor::{SeededRng, Tensor};
 use dlbench_trace::Stopwatch;
@@ -48,33 +48,9 @@ fn reports_dir() -> std::path::PathBuf {
     from_exe.unwrap_or_else(|| std::path::Path::new("target").join("dlbench-reports"))
 }
 
-/// Batched top-1 accuracy of the quantized network over `test` — the
-/// int8 mirror of `trainer::evaluate` (same 100-sample batches, same
-/// preprocessing pipeline).
-fn evaluate_quantized(
-    q: &mut QuantizedNetwork,
-    test: &Dataset,
-    preprocessing: Preprocessing,
-    channel_means: &[f32],
-) -> f32 {
-    let n = test.len();
-    let mut correct = 0usize;
-    let mut start = 0;
-    while start < n {
-        let end = (start + 100).min(n);
-        let idx: Vec<usize> = (start..end).collect();
-        let (images, labels) = test.gather(&idx);
-        let x = preprocessing.apply(&images, channel_means);
-        let preds = q.forward(&x, false).argmax_rows();
-        correct += preds.iter().zip(&labels).filter(|(p, l)| p == l).count();
-        start = end;
-    }
-    correct as f32 / n.max(1) as f32
-}
-
 /// Indices of test samples both models classify correctly on the raw
 /// (attack-domain) images — the eligible pool for transfer crafting.
-fn both_correct(net: &mut Network, q: &mut QuantizedNetwork, test: &Dataset) -> Vec<usize> {
+fn both_correct(net: &mut Network, q: &mut Network, test: &Dataset) -> Vec<usize> {
     let idx: Vec<usize> = (0..test.len()).collect();
     let (images, labels) = test.gather(&idx);
     let fp32_preds = net.forward(&images, false).argmax_rows();
@@ -130,13 +106,9 @@ fn run_cell(
             .expect("quantize the fresh checkpoint");
 
     let (train, test) = trainer::generate_data(dataset, scale, seed);
-    let preprocessing = trainer::effective_preprocessing(host, &setting, dataset);
-    let channel_means = if preprocessing == Preprocessing::MeanSubtract {
-        Preprocessing::channel_means(&train)
-    } else {
-        Vec::new()
-    };
-    let int8_acc = evaluate_quantized(&mut qnet, &test, preprocessing, &channel_means);
+    let (preprocessing, channel_means) =
+        trainer::cell_preprocessing(host, &setting, dataset, || train);
+    let int8_acc = trainer::evaluate(&mut qnet, &test, preprocessing, &channel_means);
 
     // Modeled testing-time ratio: int8 GEMM throughput plus 1-byte
     // activation traffic for quantized layers, fp32 charges elsewhere.
@@ -169,9 +141,8 @@ fn run_cell(
     for &i in &pool[..n_grad] {
         let (x, labels) = test.gather(&[i]);
         let label = labels[0];
-        let transferred = |q: &mut QuantizedNetwork, adv: &Tensor| {
-            q.forward(adv, false).argmax_rows()[0] != label
-        };
+        let transferred =
+            |q: &mut Network, adv: &Tensor| q.forward(adv, false).argmax_rows()[0] != label;
         let r = fgsm(&mut net, &x, label, &fgsm_cfg);
         fgsm_fp32 += usize::from(r.success);
         fgsm_int8 += usize::from(transferred(&mut qnet, &r.adversarial));
@@ -193,6 +164,7 @@ fn run_cell(
             usize::from(qnet.forward(&outcome.adversarial, false).argmax_rows()[0] == target);
     }
 
+    let records = calibration(&qnet);
     let json = JsonValue::Object(vec![
         ("framework".into(), host.name().into()),
         ("dataset".into(), dataset.name().into()),
@@ -202,8 +174,8 @@ fn run_cell(
         ("speedup_cpu".into(), speedup_cpu.into()),
         ("speedup_gpu".into(), speedup_gpu.into()),
         ("layers".into(), qnet.len().into()),
-        ("layers_quantized".into(), qnet.num_quantized().into()),
-        ("calibration".into(), qnet.calibration_json()),
+        ("layers_quantized".into(), records.len().into()),
+        ("calibration".into(), records.to_json()),
         (
             "attacks".into(),
             JsonValue::Object(vec![

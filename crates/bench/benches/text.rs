@@ -26,8 +26,9 @@ use dlbench_adversarial::{fgsm_embedding, pgd_embedding, EmbedAttackConfig, PgdC
 use dlbench_bench::BENCH_SEED;
 use dlbench_data::{Dataset, DatasetKind};
 use dlbench_frameworks::{trainer, training_defaults, DefaultSetting, FrameworkKind, Scale};
-use dlbench_json::JsonValue;
-use dlbench_quant::{cost_split, quantize_checkpoint, QuantConfig, QuantizedNetwork};
+use dlbench_json::{JsonValue, ToJson};
+use dlbench_nn::Network;
+use dlbench_quant::{calibration, cost_split, quantize_checkpoint, QuantConfig};
 use dlbench_simtime::{devices, CostModel};
 use dlbench_tensor::{SeededRng, Tensor};
 use dlbench_trace::Stopwatch;
@@ -51,31 +52,9 @@ fn reports_dir() -> std::path::PathBuf {
     from_exe.unwrap_or_else(|| std::path::Path::new("target").join("dlbench-reports"))
 }
 
-/// Batched top-1 accuracy of the quantized network over `test` — the
-/// int8 mirror of `trainer::evaluate`. Text pipelines are
-/// preprocessing-free, so raw token batches go straight in.
-fn evaluate_quantized(q: &mut QuantizedNetwork, test: &Dataset) -> f32 {
-    let n = test.len();
-    let mut correct = 0usize;
-    let mut start = 0;
-    while start < n {
-        let end = (start + 100).min(n);
-        let idx: Vec<usize> = (start..end).collect();
-        let (tokens, labels) = test.gather(&idx);
-        let preds = q.forward(&tokens, false).argmax_rows();
-        correct += preds.iter().zip(&labels).filter(|(p, l)| p == l).count();
-        start = end;
-    }
-    correct as f32 / n.max(1) as f32
-}
-
 /// Indices of test samples both models classify correctly — the
 /// eligible pool for transfer crafting.
-fn both_correct(
-    net: &mut dlbench_nn::Network,
-    q: &mut QuantizedNetwork,
-    test: &Dataset,
-) -> Vec<usize> {
+fn both_correct(net: &mut Network, q: &mut Network, test: &Dataset) -> Vec<usize> {
     let idx: Vec<usize> = (0..test.len()).collect();
     let (tokens, labels) = test.gather(&idx);
     let fp32_preds = net.forward(&tokens, false).argmax_rows();
@@ -131,8 +110,10 @@ fn run_cell(host: FrameworkKind, attack_samples: usize) -> CellRow {
         quantize_checkpoint(host, &setting, dataset, scale, seed, &mut ckpt.as_slice(), &cfg)
             .expect("quantize the fresh checkpoint");
 
-    let (_, test) = trainer::generate_data(dataset, scale, seed);
-    let int8_acc = evaluate_quantized(&mut qnet, &test);
+    let (train, test) = trainer::generate_data(dataset, scale, seed);
+    let (preprocessing, channel_means) =
+        trainer::cell_preprocessing(host, &setting, dataset, || train);
+    let int8_acc = trainer::evaluate(&mut qnet, &test, preprocessing, &channel_means);
 
     // Modeled int8 testing-time speedup at the serving batch size.
     let size = scale.image_size(dataset);
@@ -163,8 +144,8 @@ fn run_cell(host: FrameworkKind, attack_samples: usize) -> CellRow {
     for &i in &pool[..n_attack] {
         let (x, labels) = test.gather(&[i]);
         let label = labels[0];
-        let transferred = |q: &mut QuantizedNetwork, adv: &Tensor| {
-            q.forward_from(EMBED_SPLIT, adv).argmax_rows()[0] != label
+        let transferred = |q: &mut Network, adv: &Tensor| {
+            q.forward_from(EMBED_SPLIT, adv, false).argmax_rows()[0] != label
         };
         let r = fgsm_embedding(&mut net, &x, label, &embed_cfg);
         fgsm_fp32 += usize::from(r.success);
@@ -174,6 +155,7 @@ fn run_cell(host: FrameworkKind, attack_samples: usize) -> CellRow {
         pgd_int8 += usize::from(transferred(&mut qnet, &r.adversarial));
     }
 
+    let records = calibration(&qnet);
     let json = JsonValue::Object(vec![
         ("framework".into(), host.name().into()),
         ("dataset".into(), dataset.name().into()),
@@ -184,8 +166,8 @@ fn run_cell(host: FrameworkKind, attack_samples: usize) -> CellRow {
         ("epoch_train_gpu_s".into(), epoch_gpu_s.into()),
         ("speedup_cpu".into(), speedups[0].into()),
         ("speedup_gpu".into(), speedups[1].into()),
-        ("layers_quantized".into(), qnet.num_quantized().into()),
-        ("calibration".into(), qnet.calibration_json()),
+        ("layers_quantized".into(), records.len().into()),
+        ("calibration".into(), records.to_json()),
         (
             "attacks".into(),
             JsonValue::Object(vec![

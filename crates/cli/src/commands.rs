@@ -320,30 +320,6 @@ pub fn train(args: &ParsedArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// Batched top-1 accuracy of a quantized network over `test` — the
-/// int8 mirror of `trainer::evaluate` (same 100-sample batches, same
-/// preprocessing pipeline).
-fn evaluate_quantized(
-    q: &mut dlbench_quant::QuantizedNetwork,
-    test: &dlbench_data::Dataset,
-    preprocessing: dlbench_data::Preprocessing,
-    channel_means: &[f32],
-) -> f32 {
-    let n = test.len();
-    let mut correct = 0usize;
-    let mut start = 0;
-    while start < n {
-        let end = (start + 100).min(n);
-        let idx: Vec<usize> = (start..end).collect();
-        let (images, labels) = test.gather(&idx);
-        let x = preprocessing.apply(&images, channel_means);
-        let preds = q.forward(&x, false).argmax_rows();
-        correct += preds.iter().zip(&labels).filter(|(p, l)| p == l).count();
-        start = end;
-    }
-    correct as f32 / n.max(1) as f32
-}
-
 /// `dlbench quantize`: post-training int8 quantization of one cell.
 ///
 /// Loads an fp32 (v1) or quantized (v2) checkpoint — or trains the cell
@@ -353,8 +329,9 @@ fn evaluate_quantized(
 /// the paper's devices. `--save FILE` writes the quantized network as a
 /// version-2 checkpoint that `serve`/`fleet` adopt bit-for-bit.
 pub fn quantize(args: &ParsedArgs) -> Result<(), String> {
-    use dlbench_data::Preprocessing;
-    use dlbench_quant::{cost_split, quantize_checkpoint, quantize_trained, QuantConfig};
+    use dlbench_quant::{
+        calibration, cost_split, quantize_checkpoint, quantize_trained, to_entries, QuantConfig,
+    };
     let scale = parse_scale(args.get("scale"))?;
     let seed = args.get_parsed("seed", 42u64)?;
     configure_threads(args)?;
@@ -378,12 +355,8 @@ pub fn quantize(args: &ParsedArgs) -> Result<(), String> {
     );
 
     let (train, test) = trainer::generate_data(dataset, scale, seed);
-    let preprocessing = trainer::effective_preprocessing(host, &setting, dataset);
-    let channel_means = if preprocessing == Preprocessing::MeanSubtract {
-        Preprocessing::channel_means(&train)
-    } else {
-        Vec::new()
-    };
+    let (preprocessing, channel_means) =
+        trainer::cell_preprocessing(host, &setting, dataset, || train);
 
     let mut fp32_acc: Option<f32> = None;
     let mut qnet = match args.get("load") {
@@ -426,16 +399,17 @@ pub fn quantize(args: &ParsedArgs) -> Result<(), String> {
         }
     };
 
-    println!("layers          {} ({} quantized to int8)", qnet.len(), qnet.num_quantized());
-    for line in qnet.describe() {
-        println!("  {line}");
+    let records = calibration(&qnet);
+    println!("layers          {} ({} quantized to int8)", qnet.len(), records.len());
+    for (layer, summary) in qnet.layers().iter().zip(qnet.describe()) {
+        println!("  {:<13} {summary}", layer.name());
     }
     println!("calibration:");
     println!(
         "  {:<12} {:>21} {:>21} {:>11} {:>4} {:>7}",
         "layer", "observed", "calibrated", "scale", "zp", "clip%"
     );
-    for c in qnet.calibration() {
+    for c in &records {
         println!(
             "  {:<12} [{:>8.3},{:>8.3}] [{:>8.3},{:>8.3}] {:>11.6} {:>4} {:>6.2}%",
             c.layer,
@@ -449,7 +423,7 @@ pub fn quantize(args: &ParsedArgs) -> Result<(), String> {
         );
     }
 
-    let int8_acc = evaluate_quantized(&mut qnet, &test, preprocessing, &channel_means);
+    let int8_acc = trainer::evaluate(&mut qnet, &test, preprocessing, &channel_means);
     match fp32_acc {
         Some(f) => println!(
             "accuracy        fp32 {:.2}%   int8 {:.2}%   (drop {:+.2}pp)",
@@ -485,7 +459,7 @@ pub fn quantize(args: &ParsedArgs) -> Result<(), String> {
     }
 
     if let Some(path) = args.get("save") {
-        dlbench_nn::save_quantized_path(&qnet.to_entries(), path)
+        dlbench_nn::save_quantized_path(&to_entries(&mut qnet), path)
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("checkpoint      quantized (v2) written to {path}");
     }
@@ -1135,12 +1109,8 @@ pub fn profile(args: &ParsedArgs) -> Result<(), String> {
         let (train, test) = trainer::generate_data(dataset, scale, seed);
         let idx: Vec<usize> = (0..test.len().min(64)).collect();
         let (images, _labels) = test.gather(&idx);
-        let preprocessing = trainer::effective_preprocessing(host, &setting, dataset);
-        let channel_means = if preprocessing == dlbench_data::Preprocessing::MeanSubtract {
-            dlbench_data::Preprocessing::channel_means(&train)
-        } else {
-            Vec::new()
-        };
+        let (preprocessing, channel_means) =
+            trainer::cell_preprocessing(host, &setting, dataset, || train);
         let x = preprocessing.apply(&images, &channel_means);
         dlbench_trace::configure(TraceConfig::on());
         dlbench_trace::clear();
@@ -1156,7 +1126,7 @@ pub fn profile(args: &ParsedArgs) -> Result<(), String> {
         println!(
             "{gemm_spans} gemm_i8 spans over a {}-sample int8 forward ({} of {} layers quantized)",
             idx.len(),
-            qnet.num_quantized(),
+            dlbench_quant::calibration(&qnet).len(),
             qnet.len()
         );
         let reference =
@@ -1306,6 +1276,7 @@ impl dlbench_core::ServeBackend for CliServeBackend {
         &self,
         cell: &dlbench_core::spec::ServeCellSpec,
     ) -> Result<dlbench_json::JsonValue, String> {
+        use dlbench_json::ToJson;
         use dlbench_serve::loadgen::{self, LoadConfig, LoadMode};
         use dlbench_serve::{BatchConfig, ModelRegistry, ModelSpec};
         let dtype = dlbench_serve::ModelDtype::parse(&cell.quantize)
@@ -1314,7 +1285,8 @@ impl dlbench_core::ServeBackend for CliServeBackend {
             ModelSpec::own_default("default", cell.host, cell.dataset, cell.scale, cell.seed)
                 .with_dtype(dtype);
         let served = spec.instantiate(None).map_err(|e| e.to_string())?;
-        let calibration = served.model.calibration_json();
+        let calibration = (dtype == dlbench_serve::ModelDtype::Int8)
+            .then(|| dlbench_quant::calibration(&served.model).to_json());
         let config = BatchConfig {
             max_batch: cell.max_batch,
             max_wait: std::time::Duration::from_millis(cell.deadline_ms.round() as u64),

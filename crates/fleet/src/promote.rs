@@ -19,7 +19,8 @@ use crate::fleet::Fleet;
 use dlbench_data::{Dataset, Preprocessing};
 use dlbench_dist::{run_dist_training_observed, DistConfig, DistOutcome};
 use dlbench_frameworks::{trainer, DefaultSetting, FrameworkKind, Scale};
-use dlbench_serve::{ModelSpec, ServingModel};
+use dlbench_nn::Network;
+use dlbench_serve::ModelSpec;
 use dlbench_tensor::Tensor;
 use dlbench_trace::{span, Category};
 use dlbench_verify::Verifier;
@@ -61,30 +62,17 @@ impl HealthGate {
     /// accuracy).
     pub fn new(spec: &ModelSpec, config: HealthGateConfig) -> Self {
         let (train, test) = trainer::generate_data(spec.dataset, spec.scale, spec.seed);
-        let preprocessing =
-            trainer::effective_preprocessing(spec.host, &spec.setting, spec.dataset);
-        let channel_means = if preprocessing == Preprocessing::MeanSubtract {
-            Preprocessing::channel_means(&train)
-        } else {
-            Vec::new()
-        };
+        let (preprocessing, channel_means) =
+            trainer::cell_preprocessing(spec.host, &spec.setting, spec.dataset, || train);
         let (images, labels) = holdout_shard(&test, config.holdout);
         Self { images, labels, preprocessing, channel_means, min_accuracy: config.min_accuracy }
     }
 
     /// Screens one candidate model. Returns its holdout accuracy, or
     /// the reason it was rejected.
-    ///
-    /// Fp32 candidates run the full parameter verifier first; int8
-    /// candidates (quantized checkpoints on an int8 fleet) have no fp32
-    /// parameter tensors to verify, so the gate rests on the finite-
-    /// logits and accuracy-floor checks — both of which run on the
-    /// quantized network exactly as it will serve.
-    pub fn check(&self, model: &mut ServingModel) -> Result<f32, String> {
+    pub fn check(&self, model: &mut Network) -> Result<f32, String> {
         let _s = span(Category::Fleet, "health_gate");
-        if let Some(net) = model.as_fp32_mut() {
-            Verifier::check_model(net).map_err(|e| format!("model check failed: {e}"))?;
-        }
+        Verifier::check_model(model).map_err(|e| format!("model check failed: {e}"))?;
         let x = self.preprocessing.apply(&self.images, &self.channel_means);
         let logits = model.forward(&x, false);
         if logits.has_non_finite() {

@@ -236,6 +236,26 @@ pub fn effective_preprocessing(
     config.preprocessing
 }
 
+/// The input pipeline a cell serves and evaluates with: its
+/// [`effective_preprocessing`] plus, under mean subtraction, the
+/// per-channel means of its training split (empty otherwise). `train`
+/// yields that split and is only called under mean subtraction, so a
+/// caller without the split at hand generates it only when needed.
+pub fn cell_preprocessing(
+    host: FrameworkKind,
+    setting: &DefaultSetting,
+    dataset: DatasetKind,
+    train: impl FnOnce() -> Dataset,
+) -> (Preprocessing, Vec<f32>) {
+    let preprocessing = effective_preprocessing(host, setting, dataset);
+    let channel_means = if preprocessing == Preprocessing::MeanSubtract {
+        Preprocessing::channel_means(&train())
+    } else {
+        Vec::new()
+    };
+    (preprocessing, channel_means)
+}
+
 /// Generates the train/test datasets for a dataset kind at a scale.
 /// The data seed is independent of the framework and setting, so every
 /// cell on the same dataset sees identical data.

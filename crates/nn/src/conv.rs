@@ -333,25 +333,8 @@ impl Layer for Conv2d {
     }
 
     fn cost(&self, input_shape: &[usize]) -> LayerCost {
-        let n = input_shape[0] as u64;
         let geo = self.geometry(input_shape[2], input_shape[3]);
-        let plane = geo.out_plane() as u64;
-        let patch = geo.patch_len() as u64;
-        let oc = self.out_channels as u64;
-        // Forward: one MAC pair (2 flops) per weight tap per output site.
-        let fwd = n * 2 * oc * patch * plane;
-        // Backward: weight-grad GEMM + input-grad GEMM, each the same
-        // size as the forward GEMM.
-        let bwd = 2 * fwd;
-        LayerCost {
-            fwd_flops: fwd,
-            bwd_flops: bwd,
-            params: oc * patch + oc,
-            activations: n * oc * plane,
-            // im2col + GEMM + bias per sample batchable into 3 kernels.
-            fwd_kernels: 3,
-            bwd_kernels: 4,
-        }
+        LayerCost::conv(input_shape[0], &geo, self.out_channels)
     }
 }
 

@@ -253,20 +253,7 @@ impl Layer for Conv1d {
     }
 
     fn cost(&self, input_shape: &[usize]) -> LayerCost {
-        let n = input_shape[0] as u64;
-        let geo = self.geometry(input_shape[2]);
-        let plane = geo.out_plane() as u64;
-        let patch = geo.patch_len() as u64;
-        let f = self.filters as u64;
-        let fwd = n * 2 * f * patch * plane;
-        LayerCost {
-            fwd_flops: fwd,
-            bwd_flops: 2 * fwd,
-            params: f * patch + f,
-            activations: n * f * plane,
-            fwd_kernels: 3,
-            bwd_kernels: 4,
-        }
+        LayerCost::conv(input_shape[0], &self.geometry(input_shape[2]), self.filters)
     }
 }
 

@@ -136,19 +136,7 @@ impl Layer for Embedding {
     }
 
     fn cost(&self, input_shape: &[usize]) -> LayerCost {
-        let n = input_shape[0] as u64;
-        let l = input_shape[2] as u64;
-        let dim = self.dim as u64;
-        // A lookup moves data without arithmetic; charge one flop per
-        // copied scalar so the simtime model sees the memory traffic.
-        LayerCost {
-            fwd_flops: n * l * dim,
-            bwd_flops: n * l * dim,
-            params: (self.vocab * self.dim) as u64,
-            activations: n * l * dim,
-            fwd_kernels: 1,
-            bwd_kernels: 1,
-        }
+        LayerCost::lookup(input_shape[0] * input_shape[2], self.vocab, self.dim)
     }
 }
 

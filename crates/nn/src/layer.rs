@@ -7,10 +7,10 @@ use std::any::Any;
 /// Upcasts a layer (or any `'static` value) to [`std::any::Any`], so
 /// trait objects can be downcast back to their concrete type. The
 /// post-training quantization pass in `dlbench-quant` uses this to
-/// recognize `Linear` and `Conv2d` inside a `Box<dyn Layer>` stack and
-/// swap in int8 counterparts, keeping everything else as an fp32
-/// fallback. The blanket impl means layer implementors never write a
-/// line for it.
+/// recognize quantizable layers inside a `Box<dyn Layer>` stack and
+/// swap in their int8 counterparts (themselves [`Layer`]s), and to find
+/// those int8 layers again when reading a quantized network. The
+/// blanket impl means layer implementors never write a line for it.
 pub trait AsAny {
     /// Borrows the value as [`Any`] (for `is::<T>()` probes).
     fn as_any(&self) -> &dyn Any;

@@ -51,10 +51,15 @@ impl Network {
         &self.layers
     }
 
+    /// Mutable access to the layer stack (parameter handles per layer).
+    pub fn layers_mut(&mut self) -> &mut [Box<dyn Layer>] {
+        &mut self.layers
+    }
+
     /// Consumes the network, yielding its layer stack. The
     /// post-training quantization pass uses this (together with
-    /// [`crate::AsAny`]) to take ownership of each layer, downcast the
-    /// quantizable ones and wrap the rest as fp32 fallbacks.
+    /// [`crate::AsAny`]) to take ownership of each layer and rebuild the
+    /// network with the quantizable ones swapped for int8 layers.
     pub fn into_layers(self) -> Vec<Box<dyn Layer>> {
         self.layers
     }

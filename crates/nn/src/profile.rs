@@ -8,6 +8,8 @@
 //! framework-overhead effects (e.g. Torch's eager per-op execution at
 //! batch size 1–10 being launch-bound rather than compute-bound).
 
+use dlbench_tensor::Conv2dGeometry;
+
 /// Cost of running one layer over one batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LayerCost {
@@ -27,6 +29,55 @@ pub struct LayerCost {
 }
 
 impl LayerCost {
+    /// Cost of a fully connected layer over `n` samples: one GEMM plus
+    /// a bias pass forward, weight- and input-gradient GEMMs backward.
+    pub fn dense(n: usize, in_features: usize, out_features: usize) -> Self {
+        let fwd = 2 * n as u64 * in_features as u64 * out_features as u64;
+        LayerCost {
+            fwd_flops: fwd,
+            bwd_flops: 2 * fwd,
+            params: (out_features * in_features + out_features) as u64,
+            activations: (n * out_features) as u64,
+            fwd_kernels: 2,
+            bwd_kernels: 3,
+        }
+    }
+
+    /// Cost of a convolution lowered onto `geo` with `out_channels`
+    /// filters over `n` samples (`Conv2d` and `Conv1d` alike).
+    pub fn conv(n: usize, geo: &Conv2dGeometry, out_channels: usize) -> Self {
+        let (plane, patch, oc) =
+            (geo.out_plane() as u64, geo.patch_len() as u64, out_channels as u64);
+        // Forward: one MAC pair (2 flops) per weight tap per output site.
+        let fwd = n as u64 * 2 * oc * patch * plane;
+        LayerCost {
+            fwd_flops: fwd,
+            // Backward: weight-grad GEMM + input-grad GEMM, each the
+            // same size as the forward GEMM.
+            bwd_flops: 2 * fwd,
+            params: oc * patch + oc,
+            activations: n as u64 * oc * plane,
+            // im2col + GEMM + bias per sample batchable into 3 kernels.
+            fwd_kernels: 3,
+            bwd_kernels: 4,
+        }
+    }
+
+    /// Cost of gathering `tokens` rows of a `[vocab, dim]` embedding
+    /// table. A lookup moves data without arithmetic; it is charged one
+    /// flop per copied scalar so the simtime model sees the traffic.
+    pub fn lookup(tokens: usize, vocab: usize, dim: usize) -> Self {
+        let moved = (tokens * dim) as u64;
+        LayerCost {
+            fwd_flops: moved,
+            bwd_flops: moved,
+            params: (vocab * dim) as u64,
+            activations: moved,
+            fwd_kernels: 1,
+            bwd_kernels: 1,
+        }
+    }
+
     /// Component-wise sum of two costs.
     #[must_use]
     pub fn merge(self, other: LayerCost) -> LayerCost {

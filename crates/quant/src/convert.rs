@@ -1,10 +1,10 @@
 //! Post-training quantization: calibration passes and checkpoint entry
 //! points.
 
-use crate::layers::{QConv1dBank, QConv2d, QEmbedding, QLayer, QLinear};
-use crate::network::{LayerCalibration, QuantizedNetwork};
+use crate::layers::{QConv1dBank, QConv2d, QEmbedding, QLinear};
+use crate::network::{from_entries, LayerCalibration};
 use crate::observer::RangeObserver;
-use dlbench_data::{DatasetKind, Preprocessing};
+use dlbench_data::DatasetKind;
 use dlbench_frameworks::{trainer, DefaultSetting, FrameworkKind, Scale};
 use dlbench_nn::{
     checkpoint_version, load_parameters, load_quantized, CheckpointError, Conv1dBank, Conv2d,
@@ -35,7 +35,7 @@ impl Default for QuantConfig {
 }
 
 /// Whether the quantization pass replaces this layer with an int8
-/// counterpart (everything else stays an fp32 fallback).
+/// counterpart (everything else keeps running in fp32).
 fn quantizable(layer: &dyn Layer) -> bool {
     layer.as_any().is::<Linear>()
         || layer.as_any().is::<Conv2d>()
@@ -61,9 +61,10 @@ fn batch_of(calib: &Tensor, range: std::ops::Range<usize>) -> Tensor {
 /// every batch through the network layer by layer, folding the inputs
 /// of each quantizable layer into its [`RangeObserver`]; the second
 /// replays the stream against the *final* calibrated ranges to count
-/// the fraction of values each quantizer clips. `Linear` and `Conv2d`
-/// layers are then rebuilt as int8 counterparts and everything else is
-/// carried over as an fp32 fallback (requantize-between-layers: each
+/// the fraction of values each quantizer clips. `Linear`, `Conv2d`,
+/// `Embedding` and `Conv1dBank` layers are then swapped for their int8
+/// counterparts, each owning its calibration record, and every other
+/// layer stays as it was in fp32 (requantize-between-layers: each
 /// quantized layer re-quantizes its fp32 input with its own calibrated
 /// quantizer).
 ///
@@ -71,10 +72,10 @@ fn batch_of(calib: &Tensor, range: std::ops::Range<usize>) -> Tensor {
 ///
 /// Panics if the calibration tensor is empty or its sample shape does
 /// not feed the network.
-pub fn quantize_network(net: Network, calib: &Tensor, cfg: &QuantConfig) -> QuantizedNetwork {
+pub fn quantize_network(net: Network, calib: &Tensor, cfg: &QuantConfig) -> Network {
     assert!(calib.rank() >= 2 && calib.shape()[0] > 0, "calibration tensor must be [N, ...]");
     let _s = span(Category::Train, "quantize.calibrate");
-    let name = net.name().to_string();
+    let mut quantized = Network::new(net.name());
     let mut layers = net.into_layers();
     let mut observers: Vec<Option<RangeObserver>> = layers
         .iter()
@@ -113,39 +114,16 @@ pub fn quantize_network(net: Network, calib: &Tensor, cfg: &QuantConfig) -> Quan
         start = end;
     }
 
-    let mut qlayers = Vec::new();
-    let mut calibration = Vec::new();
     for (li, (layer, obs)) in layers.into_iter().zip(observers).enumerate() {
         let Some(o) = obs else {
-            qlayers.push(QLayer::Fallback(layer));
+            quantized.push_boxed(layer);
             continue;
         };
         let (scale, zero_point) = o.affine_params();
         let (observed_min, observed_max) = o.observed();
         let (range_lo, range_hi) = o.range();
-        let label;
-        if layer.as_any().is::<Linear>() {
-            let lin = layer.into_any().downcast::<Linear>().expect("probed as Linear");
-            label = format!("linear[{li}]");
-            qlayers.push(QLayer::Linear(QLinear::from_fp32(&lin, scale, zero_point)));
-        } else if layer.as_any().is::<Conv2d>() {
-            let conv = layer.into_any().downcast::<Conv2d>().expect("probed as Conv2d");
-            label = format!("conv2d[{li}]");
-            qlayers.push(QLayer::Conv2d(QConv2d::from_fp32(&conv, scale, zero_point)));
-        } else if layer.as_any().is::<Embedding>() {
-            // The observer saw token ids, not activations; the lookup
-            // needs no input quantizer, but the calibration record keeps
-            // the observed id range for the report.
-            let emb = layer.into_any().downcast::<Embedding>().expect("probed as Embedding");
-            label = format!("embedding[{li}]");
-            qlayers.push(QLayer::Embedding(QEmbedding::from_fp32(&emb)));
-        } else {
-            let bank = layer.into_any().downcast::<Conv1dBank>().expect("probed as Conv1dBank");
-            label = format!("conv1d_bank[{li}]");
-            qlayers.push(QLayer::Conv1dBank(QConv1dBank::from_fp32(&bank, scale, zero_point)));
-        }
-        calibration.push(LayerCalibration {
-            layer: label,
+        let record = |kind: &str| LayerCalibration {
+            layer: format!("{kind}[{li}]"),
             observed_min,
             observed_max,
             range_lo,
@@ -153,9 +131,23 @@ pub fn quantize_network(net: Network, calib: &Tensor, cfg: &QuantConfig) -> Quan
             scale,
             zero_point,
             clipped_fraction: clipped[li] as f32 / totals[li].max(1) as f32,
-        });
+        };
+        let any = layer.as_ref().as_any();
+        if let Some(lin) = any.downcast_ref::<Linear>() {
+            quantized.push(QLinear::from_fp32(lin, record("linear")));
+        } else if let Some(conv) = any.downcast_ref::<Conv2d>() {
+            quantized.push(QConv2d::from_fp32(conv, record("conv2d")));
+        } else if let Some(emb) = any.downcast_ref::<Embedding>() {
+            // The observer saw token ids, not activations; the lookup
+            // needs no input quantizer, but the calibration record keeps
+            // the observed id range for the report.
+            quantized.push(QEmbedding::from_fp32(emb, record("embedding")));
+        } else {
+            let bank = any.downcast_ref::<Conv1dBank>().expect("quantizable layer kinds");
+            quantized.push(QConv1dBank::from_fp32(bank, record("conv1d_bank")));
+        }
     }
-    QuantizedNetwork::new(name, qlayers, calibration)
+    quantized
 }
 
 /// Builds the calibration shard for a cell: the **tail** of its
@@ -176,12 +168,8 @@ pub fn calibration_shard(
     let take = samples.clamp(1, n);
     let idx: Vec<usize> = (n - take..n).collect();
     let (images, _labels) = train.gather(&idx);
-    let preprocessing = trainer::effective_preprocessing(host, setting, dataset);
-    let channel_means = if preprocessing == Preprocessing::MeanSubtract {
-        Preprocessing::channel_means(&train)
-    } else {
-        Vec::new()
-    };
+    let (preprocessing, channel_means) =
+        trainer::cell_preprocessing(host, setting, dataset, || train);
     preprocessing.apply(&images, &channel_means)
 }
 
@@ -195,17 +183,17 @@ pub fn quantize_trained(
     scale: Scale,
     seed: u64,
     cfg: &QuantConfig,
-) -> QuantizedNetwork {
+) -> Network {
     let shard = calibration_shard(host, setting, dataset, scale, seed, cfg.calib_samples);
     quantize_network(net, &shard, cfg)
 }
 
-/// Builds a [`QuantizedNetwork`] from **any** cell checkpoint stream.
+/// Builds a quantized network from **any** cell checkpoint stream.
 ///
 /// * Version-1 (fp32) checkpoints are loaded into the cell's freshly
 ///   built architecture and calibrated/quantized on the spot.
 /// * Version-2 (quantized) checkpoints are adopted bit-for-bit via
-///   [`QuantizedNetwork::from_entries`] — no re-calibration.
+///   [`crate::from_entries`] — no re-calibration.
 ///
 /// All failure modes (wrong magic, truncation, structure mismatch) are
 /// structured [`CheckpointError`]s.
@@ -217,7 +205,7 @@ pub fn quantize_checkpoint(
     seed: u64,
     r: &mut dyn std::io::Read,
     cfg: &QuantConfig,
-) -> Result<QuantizedNetwork, CheckpointError> {
+) -> Result<Network, CheckpointError> {
     let mut bytes = Vec::new();
     r.read_to_end(&mut bytes)?;
     match checkpoint_version(&bytes) {
@@ -229,7 +217,7 @@ pub fn quantize_checkpoint(
         Some('2') => {
             let entries = load_quantized(&mut bytes.as_slice())?;
             let net = trainer::build_cell_model(host, setting, dataset, scale, seed);
-            QuantizedNetwork::from_entries(net, &entries)
+            from_entries(net, &entries)
         }
         _ => Err(CheckpointError::BadFormat(
             "not a DLBench checkpoint (unrecognized magic)".to_string(),
@@ -247,13 +235,13 @@ pub fn quantize_checkpoint_path(
     seed: u64,
     path: impl AsRef<std::path::Path>,
     cfg: &QuantConfig,
-) -> Result<QuantizedNetwork, CheckpointError> {
+) -> Result<Network, CheckpointError> {
     let mut file = std::fs::File::open(path)?;
     quantize_checkpoint(host, setting, dataset, scale, seed, &mut file, cfg)
 }
 
-/// Splits a network's inference cost into the part the int8 path
-/// absorbs (`Linear`/`Conv2d`) and the fp32 fallback remainder, for the
+/// Splits an fp32 network's inference cost into the part the int8 path
+/// absorbs (the quantizable layers) and the fp32 remainder, for the
 /// analytical int8 serving-time model
 /// (`CostModel::inference_seconds_batched_int8`).
 pub fn cost_split(net: &Network, input_shape: &[usize]) -> (LayerCost, LayerCost) {
@@ -275,6 +263,7 @@ pub fn cost_split(net: &Network, input_shape: &[usize]) -> (LayerCost, LayerCost
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{calibration, to_entries};
     use dlbench_nn::{save_parameters, save_quantized, Initializer};
     use dlbench_tensor::SeededRng;
 
@@ -294,9 +283,9 @@ mod tests {
         let mut q = quantize_network(net, &shard, &cfg);
         let y8 = q.forward(&shard, false);
         assert_eq!(y8.shape(), y32.shape());
-        assert!(q.num_quantized() >= 2, "cell models have conv and linear layers");
-        assert_eq!(q.calibration().len(), q.num_quantized());
-        for c in q.calibration() {
+        let records = calibration(&q);
+        assert!(records.len() >= 2, "cell models have conv and linear layers");
+        for c in &records {
             assert!(c.scale > 0.0 && c.scale.is_finite());
             assert!((0.0..=1.0).contains(&c.clipped_fraction), "{c:?}");
             assert!(c.range_lo <= 0.0 && c.range_hi >= 0.0, "{c:?}");
@@ -319,7 +308,7 @@ mod tests {
             quantize_checkpoint(host, &setting, dataset, scale, seed, &mut v1.as_slice(), &cfg)
                 .unwrap();
         let mut v2 = Vec::new();
-        save_quantized(&q1.to_entries(), &mut v2).unwrap();
+        save_quantized(&to_entries(&mut q1), &mut v2).unwrap();
         let mut q2 =
             quantize_checkpoint(host, &setting, dataset, scale, seed, &mut v2.as_slice(), &cfg)
                 .unwrap();
@@ -327,7 +316,7 @@ mod tests {
         let a = q1.forward(&shard, false);
         let b = q2.forward(&shard, false);
         assert!(a.data().iter().zip(b.data()).all(|(x, y)| x.to_bits() == y.to_bits()));
-        assert_eq!(q1.calibration(), q2.calibration());
+        assert_eq!(calibration(&q1), calibration(&q2));
     }
 
     #[test]
@@ -343,11 +332,11 @@ mod tests {
             quantize_checkpoint(host, &setting, dataset, scale, seed, &mut v1.as_slice(), &cfg)
                 .unwrap();
         // The embedding and the conv bank both land on the int8 path.
-        let names: Vec<String> = q1.describe();
-        assert!(names.iter().any(|n| n.starts_with("qembedding")), "{names:?}");
-        assert!(names.iter().any(|n| n.starts_with("qconv1d_bank")), "{names:?}");
+        let names: Vec<&str> = q1.layers().iter().map(|l| l.name()).collect();
+        assert!(names.contains(&"qembedding"), "{names:?}");
+        assert!(names.contains(&"qconv1d_bank"), "{names:?}");
         let mut v2 = Vec::new();
-        save_quantized(&q1.to_entries(), &mut v2).unwrap();
+        save_quantized(&to_entries(&mut q1), &mut v2).unwrap();
         let mut q2 =
             quantize_checkpoint(host, &setting, dataset, scale, seed, &mut v2.as_slice(), &cfg)
                 .unwrap();
@@ -355,7 +344,7 @@ mod tests {
         let a = q1.forward(&shard, false);
         let b = q2.forward(&shard, false);
         assert!(a.data().iter().zip(b.data()).all(|(x, y)| x.to_bits() == y.to_bits()));
-        assert_eq!(q1.calibration(), q2.calibration());
+        assert_eq!(calibration(&q1), calibration(&q2));
         // The fp32 network and its quantized twin agree on most rows.
         let y32 = {
             let mut net = trainer::build_cell_model(host, &setting, dataset, scale, seed);
@@ -407,7 +396,7 @@ mod tests {
         let calib = Tensor::randn(&[40, 12], 0.0, 1.0, &mut rng);
         let mut q = quantize_network(net, &calib, &QuantConfig::default());
         assert_eq!(q.len(), 3);
-        assert_eq!(q.num_quantized(), 2);
+        assert_eq!(calibration(&q).len(), 2);
         let x = Tensor::randn(&[5, 12], 0.0, 1.0, &mut rng);
         assert_eq!(q.forward(&x, false).shape(), &[5, 4]);
     }

@@ -1,9 +1,18 @@
-//! Quantized layer forward paths.
+//! Quantized layers: inference-only [`Layer`]s that take the place of
+//! `Linear`, `Conv2d`, `Embedding` and `Conv1dBank` in a [`Network`].
+//!
+//! [`Network`]: dlbench_nn::Network
 
+use crate::network::LayerCalibration;
 use crate::qtensor::QTensor;
-use dlbench_nn::{token_row, Conv1dBank, Conv2d, Embedding, Layer, Linear};
+use dlbench_nn::{token_row, Conv1dBank, Conv2d, Embedding, Layer, LayerCost, Linear, MaxOverTime};
 use dlbench_tensor::{gemm_i8, quantize_i8, Conv2dGeometry, Tensor};
 use dlbench_trace::{span, Category};
+
+/// Rejects training-mode use: quantized layers have no gradients.
+fn inference_only(name: &str) -> ! {
+    panic!("{name} is inference-only: quantized layers have no training mode or backward pass")
+}
 
 /// Per-output-channel sums of the quantized weights — the constant in
 /// the affine zero-point correction
@@ -35,15 +44,14 @@ pub struct QLinear {
     /// Per-output-column sums of `weight_t` (zero-point correction).
     wsum: Vec<i32>,
     bias: Vec<f32>,
-    /// Input (activation) quantizer, calibrated offline.
-    act_scale: f32,
-    act_zero_point: i8,
+    /// Calibration record; its `(scale, zero_point)` is the input
+    /// (activation) quantizer.
+    calibration: LayerCalibration,
 }
 
 impl QLinear {
-    /// Quantizes a trained fp32 layer, given its calibrated input
-    /// quantizer.
-    pub fn from_fp32(layer: &Linear, act_scale: f32, act_zero_point: i8) -> Self {
+    /// Quantizes a trained fp32 layer, given its calibration record.
+    pub fn from_fp32(layer: &Linear, calibration: LayerCalibration) -> Self {
         let (inf, outf) = (layer.in_features(), layer.out_features());
         // Transpose [out, in] → [in, out] so the forward GEMM is
         // `x[n, in] @ w_t[in, out]` with unit-stride inner loops.
@@ -55,7 +63,7 @@ impl QLinear {
             }
         }
         let weight_t = QTensor::quantize_symmetric(&[inf, outf], &w_t);
-        Self::from_parts(weight_t, layer.bias().data().to_vec(), act_scale, act_zero_point)
+        Self::from_parts(weight_t, layer.bias().data().to_vec(), calibration)
     }
 
     /// Assembles the layer from already-quantized parts (the
@@ -66,35 +74,12 @@ impl QLinear {
     ///
     /// Panics if `weight_t` is not rank 2 or the bias length disagrees
     /// with its output dimension.
-    pub fn from_parts(
-        weight_t: QTensor,
-        bias: Vec<f32>,
-        act_scale: f32,
-        act_zero_point: i8,
-    ) -> Self {
+    pub fn from_parts(weight_t: QTensor, bias: Vec<f32>, calibration: LayerCalibration) -> Self {
         assert_eq!(weight_t.shape().len(), 2, "QLinear weight must be [in, out]");
         let (inf, outf) = (weight_t.shape()[0], weight_t.shape()[1]);
         assert_eq!(bias.len(), outf, "QLinear bias length mismatch");
         let wsum = weight_sums(inf, outf, weight_t.data());
-        Self {
-            in_features: inf,
-            out_features: outf,
-            weight_t,
-            wsum,
-            bias,
-            act_scale,
-            act_zero_point,
-        }
-    }
-
-    /// Input feature count.
-    pub fn in_features(&self) -> usize {
-        self.in_features
-    }
-
-    /// Output feature count.
-    pub fn out_features(&self) -> usize {
-        self.out_features
+        Self { in_features: inf, out_features: outf, weight_t, wsum, bias, calibration }
     }
 
     /// The quantized, transposed weight matrix.
@@ -107,19 +92,33 @@ impl QLinear {
         &self.bias
     }
 
-    /// The calibrated input quantizer `(scale, zero_point)`.
-    pub fn activation_params(&self) -> (f32, i8) {
-        (self.act_scale, self.act_zero_point)
+    /// The calibration record this layer was quantized from.
+    pub fn calibration(&self) -> &LayerCalibration {
+        &self.calibration
+    }
+}
+
+impl Layer for QLinear {
+    fn name(&self) -> &'static str {
+        "qlinear"
+    }
+
+    fn summary(&self) -> String {
+        format!("{}->{} (int8)", self.in_features, self.out_features)
     }
 
     /// Quantized forward over `[n, in]` inputs.
-    pub fn forward(&self, input: &Tensor) -> Tensor {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        if train {
+            inference_only(self.name());
+        }
         assert_eq!(input.rank(), 2, "QLinear expects [N, in]");
         let n = input.shape()[0];
         assert_eq!(input.shape()[1], self.in_features, "QLinear feature mismatch");
         let _s = span(Category::Kernel, "qlinear");
+        let (act_scale, act_zero_point) = (self.calibration.scale, self.calibration.zero_point);
         let mut xq = vec![0i8; input.len()];
-        quantize_i8(input.data(), self.act_scale, self.act_zero_point, &mut xq);
+        quantize_i8(input.data(), act_scale, act_zero_point, &mut xq);
         let mut acc = vec![0i32; n * self.out_features];
         gemm_i8(n, self.in_features, self.out_features, &xq, self.weight_t.data(), &mut acc);
         let mut out = Tensor::zeros(&[n, self.out_features]);
@@ -127,11 +126,23 @@ impl QLinear {
             &acc,
             &self.wsum,
             &self.bias,
-            self.act_scale * self.weight_t.scale,
-            self.act_zero_point as i32,
+            act_scale * self.weight_t.scale,
+            act_zero_point as i32,
             out.data_mut(),
         );
         out
+    }
+
+    fn backward(&mut self, _grad_out: &Tensor) -> Tensor {
+        inference_only(self.name())
+    }
+
+    fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
+        vec![input_shape[0], self.out_features]
+    }
+
+    fn cost(&self, input_shape: &[usize]) -> LayerCost {
+        LayerCost::dense(input_shape[0], self.in_features, self.out_features)
     }
 }
 
@@ -207,14 +218,14 @@ pub struct QConv2d {
     /// Per-output-channel sums of `weight` (zero-point correction).
     wsum: Vec<i32>,
     bias: Vec<f32>,
-    act_scale: f32,
-    act_zero_point: i8,
+    /// Calibration record; its `(scale, zero_point)` is the input
+    /// (activation) quantizer.
+    calibration: LayerCalibration,
 }
 
 impl QConv2d {
-    /// Quantizes a trained fp32 layer, given its calibrated input
-    /// quantizer.
-    pub fn from_fp32(layer: &Conv2d, act_scale: f32, act_zero_point: i8) -> Self {
+    /// Quantizes a trained fp32 layer, given its calibration record.
+    pub fn from_fp32(layer: &Conv2d, calibration: LayerCalibration) -> Self {
         let (ic, oc, k) = (layer.in_channels(), layer.out_channels(), layer.kernel());
         let patch = ic * k * k;
         // The fp32 weight is [oc, ic, kh, kw]; flattening rows to
@@ -227,8 +238,7 @@ impl QConv2d {
             k,
             layer.stride(),
             layer.pad(),
-            act_scale,
-            act_zero_point,
+            calibration,
         )
     }
 
@@ -239,7 +249,6 @@ impl QConv2d {
     ///
     /// Panics if the weight shape disagrees with the declared geometry
     /// or the bias length disagrees with the output channel count.
-    #[allow(clippy::too_many_arguments)]
     pub fn from_parts(
         weight: QTensor,
         bias: Vec<f32>,
@@ -247,8 +256,7 @@ impl QConv2d {
         kernel: usize,
         stride: usize,
         pad: usize,
-        act_scale: f32,
-        act_zero_point: i8,
+        calibration: LayerCalibration,
     ) -> Self {
         assert_eq!(weight.shape().len(), 2, "QConv2d weight must be [oc, patch]");
         let (oc, patch) = (weight.shape()[0], weight.shape()[1]);
@@ -259,33 +267,20 @@ impl QConv2d {
         for (o, s) in wsum.iter_mut().enumerate() {
             *s = weight.data()[o * patch..(o + 1) * patch].iter().map(|&v| v as i32).sum();
         }
-        Self {
-            in_channels,
-            out_channels: oc,
-            kernel,
-            stride,
-            pad,
-            weight,
-            wsum,
-            bias,
-            act_scale,
-            act_zero_point,
+        Self { in_channels, out_channels: oc, kernel, stride, pad, weight, wsum, bias, calibration }
+    }
+
+    /// The lowering geometry for one `[C, in_h, in_w]` input sample.
+    fn geometry(&self, in_h: usize, in_w: usize) -> Conv2dGeometry {
+        Conv2dGeometry {
+            in_channels: self.in_channels,
+            in_h,
+            in_w,
+            kernel_h: self.kernel,
+            kernel_w: self.kernel,
+            stride: self.stride,
+            pad: self.pad,
         }
-    }
-
-    /// Number of output channels.
-    pub fn out_channels(&self) -> usize {
-        self.out_channels
-    }
-
-    /// Number of input channels.
-    pub fn in_channels(&self) -> usize {
-        self.in_channels
-    }
-
-    /// `(kernel, stride, pad)` geometry.
-    pub fn geometry_params(&self) -> (usize, usize, usize) {
-        (self.kernel, self.stride, self.pad)
     }
 
     /// The quantized `[out_channels, patch_len]` weight matrix.
@@ -298,25 +293,37 @@ impl QConv2d {
         &self.bias
     }
 
-    /// The calibrated input quantizer `(scale, zero_point)`.
-    pub fn activation_params(&self) -> (f32, i8) {
-        (self.act_scale, self.act_zero_point)
+    /// The calibration record this layer was quantized from.
+    pub fn calibration(&self) -> &LayerCalibration {
+        &self.calibration
+    }
+}
+
+impl Layer for QConv2d {
+    fn name(&self) -> &'static str {
+        "qconv2d"
+    }
+
+    fn summary(&self) -> String {
+        format!(
+            "{k}x{k}, {i}->{o} (stride {s}, pad {p}) (int8)",
+            k = self.kernel,
+            i = self.in_channels,
+            o = self.out_channels,
+            s = self.stride,
+            p = self.pad
+        )
     }
 
     /// Quantized forward over `[N, C, H, W]` inputs.
-    pub fn forward(&self, input: &Tensor) -> Tensor {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        if train {
+            inference_only(self.name());
+        }
         assert_eq!(input.rank(), 4, "QConv2d expects [N, C, H, W]");
         let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
         assert_eq!(c, self.in_channels, "QConv2d channel mismatch");
-        let geo = Conv2dGeometry {
-            in_channels: c,
-            in_h: h,
-            in_w: w,
-            kernel_h: self.kernel,
-            kernel_w: self.kernel,
-            stride: self.stride,
-            pad: self.pad,
-        };
+        let geo = self.geometry(h, w);
         let (oh, ow) = (geo.out_h(), geo.out_w());
         let plane = oh * ow;
         let patch = geo.patch_len();
@@ -326,21 +333,17 @@ impl QConv2d {
 
         // Per-tensor activation quantization: one parameter set for the
         // whole batch, so batching cannot change any sample's bits.
+        let (act_scale, act_zero_point) = (self.calibration.scale, self.calibration.zero_point);
         let mut xq = vec![0i8; input.len()];
-        quantize_i8(input.data(), self.act_scale, self.act_zero_point, &mut xq);
+        quantize_i8(input.data(), act_scale, act_zero_point, &mut xq);
 
-        let s = self.act_scale * self.weight.scale;
-        let zx = self.act_zero_point as i32;
+        let s = act_scale * self.weight.scale;
+        let zx = act_zero_point as i32;
         let mut out = Tensor::zeros(&[n, self.out_channels, oh, ow]);
         let mut cols = vec![0i8; patch * plane];
         let mut acc = vec![0i32; sample_out];
         for (si, out_s) in out.data_mut().chunks_mut(sample_out).enumerate() {
-            im2col_i8(
-                &geo,
-                self.act_zero_point,
-                &xq[si * sample_in..(si + 1) * sample_in],
-                &mut cols,
-            );
+            im2col_i8(&geo, act_zero_point, &xq[si * sample_in..(si + 1) * sample_in], &mut cols);
             acc.fill(0);
             gemm_i8(self.out_channels, patch, plane, self.weight.data(), &cols, &mut acc);
             for oc in 0..self.out_channels {
@@ -355,6 +358,20 @@ impl QConv2d {
         }
         out
     }
+
+    fn backward(&mut self, _grad_out: &Tensor) -> Tensor {
+        inference_only(self.name())
+    }
+
+    fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
+        let geo = self.geometry(input_shape[2], input_shape[3]);
+        vec![input_shape[0], self.out_channels, geo.out_h(), geo.out_w()]
+    }
+
+    fn cost(&self, input_shape: &[usize]) -> LayerCost {
+        let geo = self.geometry(input_shape[2], input_shape[3]);
+        LayerCost::conv(input_shape[0], &geo, self.out_channels)
+    }
 }
 
 /// A quantized token-embedding table: symmetric int8 rows, dequantized
@@ -365,21 +382,23 @@ impl QConv2d {
 /// the fp32 layer does (round, clamp, non-finite → row 0) and
 /// dequantizes the gathered row (`scale · q`, zero point 0). Output
 /// bits depend only on the stored table, so batching and thread count
-/// cannot change them.
+/// cannot change them. The calibration record keeps the observed id
+/// range for the report only.
 #[derive(Debug, Clone)]
 pub struct QEmbedding {
     vocab: usize,
     dim: usize,
     /// The `[vocab, dim]` table, symmetric (`zero_point` 0).
     table: QTensor,
+    calibration: LayerCalibration,
 }
 
 impl QEmbedding {
     /// Quantizes a trained fp32 embedding table.
-    pub fn from_fp32(layer: &Embedding) -> Self {
+    pub fn from_fp32(layer: &Embedding, calibration: LayerCalibration) -> Self {
         let table =
             QTensor::quantize_symmetric(&[layer.vocab(), layer.dim()], layer.table().data());
-        Self::from_parts(table)
+        Self::from_parts(table, calibration)
     }
 
     /// Assembles the layer from an already-quantized table (the
@@ -388,21 +407,11 @@ impl QEmbedding {
     /// # Panics
     ///
     /// Panics if `table` is not rank 2 or is empty.
-    pub fn from_parts(table: QTensor) -> Self {
+    pub fn from_parts(table: QTensor, calibration: LayerCalibration) -> Self {
         assert_eq!(table.shape().len(), 2, "QEmbedding table must be [vocab, dim]");
         let (vocab, dim) = (table.shape()[0], table.shape()[1]);
         assert!(vocab > 0 && dim > 0, "QEmbedding table must be non-empty");
-        Self { vocab, dim, table }
-    }
-
-    /// Vocabulary size (table rows).
-    pub fn vocab(&self) -> usize {
-        self.vocab
-    }
-
-    /// Embedding dimension (table columns).
-    pub fn dim(&self) -> usize {
-        self.dim
+        Self { vocab, dim, table, calibration }
     }
 
     /// The quantized `[vocab, dim]` table.
@@ -410,9 +419,27 @@ impl QEmbedding {
         &self.table
     }
 
+    /// The calibration record this layer was quantized from.
+    pub fn calibration(&self) -> &LayerCalibration {
+        &self.calibration
+    }
+}
+
+impl Layer for QEmbedding {
+    fn name(&self) -> &'static str {
+        "qembedding"
+    }
+
+    fn summary(&self) -> String {
+        format!("embed {}x{} (int8)", self.vocab, self.dim)
+    }
+
     /// Quantized lookup over `[N, 1, L, 1]` token ids, producing
     /// `[N, 1, L, dim]` dequantized activations.
-    pub fn forward(&self, input: &Tensor) -> Tensor {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        if train {
+            inference_only(self.name());
+        }
         assert_eq!(input.rank(), 4, "QEmbedding expects [N, 1, L, 1] token ids");
         let (n, c, l, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
         assert_eq!((c, w), (1, 1), "QEmbedding expects one token id per position");
@@ -431,6 +458,18 @@ impl QEmbedding {
         }
         out
     }
+
+    fn backward(&mut self, _grad_out: &Tensor) -> Tensor {
+        inference_only(self.name())
+    }
+
+    fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
+        vec![input_shape[0], 1, input_shape[2], self.dim]
+    }
+
+    fn cost(&self, input_shape: &[usize]) -> LayerCost {
+        LayerCost::lookup(input_shape[0] * input_shape[2], self.vocab, self.dim)
+    }
 }
 
 /// One quantized branch of a [`QConv1dBank`]: symmetric int8 weights in
@@ -442,6 +481,22 @@ struct QConv1dBranch {
     weight: QTensor,
     wsum: Vec<i32>,
     bias: Vec<f32>,
+}
+
+impl QConv1dBranch {
+    /// The 2-D lowering geometry over a length-`l` sequence of
+    /// `embed_dim`-wide embeddings (the fp32 `Conv1d::geometry`).
+    fn geometry(&self, l: usize, embed_dim: usize) -> Conv2dGeometry {
+        Conv2dGeometry {
+            in_channels: 1,
+            in_h: l,
+            in_w: embed_dim,
+            kernel_h: self.width,
+            kernel_w: embed_dim,
+            stride: 1,
+            pad: 0,
+        }
+    }
 }
 
 /// A quantized sentence-CNN feature bank: per-branch symmetric int8
@@ -459,14 +514,14 @@ pub struct QConv1dBank {
     filters: usize,
     embed_dim: usize,
     branches: Vec<QConv1dBranch>,
-    act_scale: f32,
-    act_zero_point: i8,
+    /// Calibration record; its `(scale, zero_point)` is the shared
+    /// input (activation) quantizer.
+    calibration: LayerCalibration,
 }
 
 impl QConv1dBank {
-    /// Quantizes a trained fp32 bank, given its calibrated input
-    /// quantizer.
-    pub fn from_fp32(bank: &Conv1dBank, act_scale: f32, act_zero_point: i8) -> Self {
+    /// Quantizes a trained fp32 bank, given its calibration record.
+    pub fn from_fp32(bank: &Conv1dBank, calibration: LayerCalibration) -> Self {
         let convs = bank.convs();
         let embed_dim = convs[0].embed_dim();
         let branches = convs
@@ -480,7 +535,7 @@ impl QConv1dBank {
                 (weight, c.bias().data().to_vec())
             })
             .collect::<Vec<_>>();
-        Self::from_parts(bank.filters(), embed_dim, branches, act_scale, act_zero_point)
+        Self::from_parts(bank.filters(), embed_dim, branches, calibration)
     }
 
     /// Assembles the bank from already-quantized branch parts
@@ -494,8 +549,7 @@ impl QConv1dBank {
         filters: usize,
         embed_dim: usize,
         branches: Vec<(QTensor, Vec<f32>)>,
-        act_scale: f32,
-        act_zero_point: i8,
+        calibration: LayerCalibration,
     ) -> Self {
         assert!(!branches.is_empty(), "QConv1dBank needs at least one branch");
         let branches = branches
@@ -513,7 +567,7 @@ impl QConv1dBank {
                 QConv1dBranch { width: patch / embed_dim, weight, wsum, bias }
             })
             .collect();
-        Self { filters, embed_dim, branches, act_scale, act_zero_point }
+        Self { filters, embed_dim, branches, calibration }
     }
 
     /// Filters per branch.
@@ -541,15 +595,28 @@ impl QConv1dBank {
         self.branches.iter().map(|b| (&b.weight, b.bias.as_slice())).collect()
     }
 
-    /// The calibrated input quantizer `(scale, zero_point)` shared by
-    /// all branches.
-    pub fn activation_params(&self) -> (f32, i8) {
-        (self.act_scale, self.act_zero_point)
+    /// The calibration record this layer was quantized from.
+    pub fn calibration(&self) -> &LayerCalibration {
+        &self.calibration
+    }
+}
+
+impl Layer for QConv1dBank {
+    fn name(&self) -> &'static str {
+        "qconv1d_bank"
+    }
+
+    fn summary(&self) -> String {
+        let widths: Vec<String> = self.widths().iter().map(usize::to_string).collect();
+        format!("bank w[{}] x{} (int8)", widths.join(","), self.filters)
     }
 
     /// Quantized forward over `[N, 1, L, E]` embedded sequences,
     /// producing pooled `[N, widths.len() · filters]` features.
-    pub fn forward(&self, input: &Tensor) -> Tensor {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        if train {
+            inference_only(self.name());
+        }
         assert_eq!(input.rank(), 4, "QConv1dBank expects [N, 1, L, E]");
         let (n, c, l, e) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
         assert_eq!(c, 1, "QConv1dBank expects a single input channel");
@@ -558,34 +625,27 @@ impl QConv1dBank {
 
         // One per-tensor quantization of the shared input: every branch
         // sees the same int8 sequence, and batching cannot change bits.
+        let (act_scale, act_zero_point) = (self.calibration.scale, self.calibration.zero_point);
         let mut xq = vec![0i8; input.len()];
-        quantize_i8(input.data(), self.act_scale, self.act_zero_point, &mut xq);
+        quantize_i8(input.data(), act_scale, act_zero_point, &mut xq);
 
         let f = self.filters;
         let total = self.out_features();
         let sample_in = l * e;
-        let zx = self.act_zero_point as i32;
+        let zx = act_zero_point as i32;
         let mut out = Tensor::zeros(&[n, total]);
         for (b, branch) in self.branches.iter().enumerate() {
             assert!(l >= branch.width, "sequence shorter than kernel window");
-            let geo = Conv2dGeometry {
-                in_channels: 1,
-                in_h: l,
-                in_w: e,
-                kernel_h: branch.width,
-                kernel_w: e,
-                stride: 1,
-                pad: 0,
-            };
+            let geo = branch.geometry(l, e);
             let plane = geo.out_plane();
             let patch = geo.patch_len();
-            let s = self.act_scale * branch.weight.scale;
+            let s = act_scale * branch.weight.scale;
             let mut cols = vec![0i8; patch * plane];
             let mut acc = vec![0i32; f * plane];
             for si in 0..n {
                 im2col_i8(
                     &geo,
-                    self.act_zero_point,
+                    act_zero_point,
                     &xq[si * sample_in..(si + 1) * sample_in],
                     &mut cols,
                 );
@@ -613,50 +673,23 @@ impl QConv1dBank {
         }
         out
     }
-}
 
-/// One layer of a [`crate::QuantizedNetwork`]: a quantized kernel or an
-/// fp32 fallback for ops int8 does not cover (activations, pools,
-/// normalization, dropout).
-pub enum QLayer {
-    /// Quantized fully connected layer.
-    Linear(QLinear),
-    /// Quantized convolution.
-    Conv2d(QConv2d),
-    /// Quantized token-embedding table.
-    Embedding(QEmbedding),
-    /// Quantized sentence-CNN conv bank.
-    Conv1dBank(QConv1dBank),
-    /// Unquantized op running its normal fp32 inference path.
-    Fallback(Box<dyn Layer>),
-}
-
-impl QLayer {
-    /// Runs the layer forward (inference mode).
-    pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        match self {
-            QLayer::Linear(l) => l.forward(input),
-            QLayer::Conv2d(c) => c.forward(input),
-            QLayer::Embedding(e) => e.forward(input),
-            QLayer::Conv1dBank(b) => b.forward(input),
-            QLayer::Fallback(l) => l.forward(input, false),
-        }
+    fn backward(&mut self, _grad_out: &Tensor) -> Tensor {
+        inference_only(self.name())
     }
 
-    /// Short human-readable name (mirrors [`Layer::name`]).
-    pub fn name(&self) -> &'static str {
-        match self {
-            QLayer::Linear(_) => "qlinear",
-            QLayer::Conv2d(_) => "qconv2d",
-            QLayer::Embedding(_) => "qembedding",
-            QLayer::Conv1dBank(_) => "qconv1d_bank",
-            QLayer::Fallback(l) => l.name(),
-        }
+    fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
+        vec![input_shape[0], self.out_features()]
     }
 
-    /// Whether this layer runs on the int8 path.
-    pub fn is_quantized(&self) -> bool {
-        !matches!(self, QLayer::Fallback(_))
+    /// Per branch, the fp32 `Conv1d` plus `MaxOverTime` charges.
+    fn cost(&self, input_shape: &[usize]) -> LayerCost {
+        let (n, l) = (input_shape[0], input_shape[2]);
+        self.branches.iter().fold(LayerCost::default(), |total, branch| {
+            let geo = branch.geometry(l, self.embed_dim);
+            let pooled = MaxOverTime::new().cost(&[n, self.filters, geo.out_h(), 1]);
+            total.merge(LayerCost::conv(n, &geo, self.filters)).merge(pooled)
+        })
     }
 }
 
@@ -666,18 +699,36 @@ mod tests {
     use dlbench_nn::Initializer;
     use dlbench_tensor::SeededRng;
 
+    /// A calibration record carrying the activation quantizer
+    /// `(scale, zero_point)`.
+    fn cal(layer: &str, scale: f32, zero_point: i8) -> LayerCalibration {
+        LayerCalibration {
+            layer: layer.into(),
+            observed_min: -1.5,
+            observed_max: 2.0,
+            range_lo: -1.2,
+            range_hi: 1.9,
+            scale,
+            zero_point,
+            clipped_fraction: 0.004,
+        }
+    }
+
+    /// Calibrates the input quantizer directly from a batch's range.
+    fn range_cal(x: &Tensor) -> LayerCalibration {
+        let (lo, hi) = x.data().iter().fold((0.0f32, 0.0f32), |(l, h), &v| (l.min(v), h.max(v)));
+        let scale = (hi - lo) / 255.0;
+        cal("test", scale, (-128.0 - lo / scale).round() as i8)
+    }
+
     #[test]
     fn qlinear_tracks_fp32_within_quantization_error() {
         let mut rng = SeededRng::new(21);
         let mut lin = Linear::new(16, 8, Initializer::Xavier, &mut rng);
         let x = Tensor::randn(&[4, 16], 0.0, 1.0, &mut rng);
         let y32 = lin.forward(&x, false);
-        // Calibrate the input quantizer directly from the batch range.
-        let (lo, hi) = x.data().iter().fold((0.0f32, 0.0f32), |(l, h), &v| (l.min(v), h.max(v)));
-        let scale = (hi - lo) / 255.0;
-        let zp = (-128.0 - lo / scale).round() as i8;
-        let q = QLinear::from_fp32(&lin, scale, zp);
-        let y8 = q.forward(&x);
+        let mut q = QLinear::from_fp32(&lin, range_cal(&x));
+        let y8 = q.forward(&x, false);
         assert_eq!(y8.shape(), y32.shape());
         for (a, b) in y32.data().iter().zip(y8.data()) {
             assert!((a - b).abs() < 0.15, "fp32 {a} vs int8 {b}");
@@ -690,11 +741,8 @@ mod tests {
         let mut conv = Conv2d::new(2, 3, 3, 1, 1, Initializer::Xavier, &mut rng);
         let x = Tensor::randn(&[2, 2, 6, 6], 0.0, 1.0, &mut rng);
         let y32 = conv.forward(&x, false);
-        let (lo, hi) = x.data().iter().fold((0.0f32, 0.0f32), |(l, h), &v| (l.min(v), h.max(v)));
-        let scale = (hi - lo) / 255.0;
-        let zp = (-128.0 - lo / scale).round() as i8;
-        let q = QConv2d::from_fp32(&conv, scale, zp);
-        let y8 = q.forward(&x);
+        let mut q = QConv2d::from_fp32(&conv, range_cal(&x));
+        let y8 = q.forward(&x, false);
         assert_eq!(y8.shape(), y32.shape());
         for (a, b) in y32.data().iter().zip(y8.data()) {
             assert!((a - b).abs() < 0.2, "fp32 {a} vs int8 {b}");
@@ -705,10 +753,10 @@ mod tests {
     fn qembedding_tracks_fp32_within_half_lsb_and_clamps_hostile_ids() {
         let mut rng = SeededRng::new(24);
         let mut emb = Embedding::new(12, 6, Initializer::Xavier, &mut rng);
-        let q = QEmbedding::from_fp32(&emb);
+        let mut q = QEmbedding::from_fp32(&emb, cal("embedding", 0.05, -128));
         let x = Tensor::from_vec(&[1, 1, 6, 1], vec![0.0, 5.0, 11.0, -3.0, 1e9, f32::NAN]).unwrap();
         let y32 = emb.forward(&x, false);
-        let y8 = q.forward(&x);
+        let y8 = q.forward(&x, false);
         assert_eq!(y8.shape(), y32.shape());
         // A pure table lookup: the only error is weight rounding.
         for (a, b) in y32.data().iter().zip(y8.data()) {
@@ -722,13 +770,10 @@ mod tests {
         let mut bank = Conv1dBank::new(3, &[2, 3], 4, Initializer::Xavier, &mut rng);
         let x = Tensor::randn(&[3, 1, 9, 4], 0.0, 1.0, &mut rng);
         let y32 = bank.forward(&x, false);
-        let (lo, hi) = x.data().iter().fold((0.0f32, 0.0f32), |(l, h), &v| (l.min(v), h.max(v)));
-        let scale = (hi - lo) / 255.0;
-        let zp = (-128.0 - lo / scale).round() as i8;
-        let q = QConv1dBank::from_fp32(&bank, scale, zp);
+        let mut q = QConv1dBank::from_fp32(&bank, range_cal(&x));
         assert_eq!(q.widths(), vec![2, 3]);
         assert_eq!(q.out_features(), 6);
-        let y8 = q.forward(&x);
+        let y8 = q.forward(&x, false);
         assert_eq!(y8.shape(), y32.shape());
         for (a, b) in y32.data().iter().zip(y8.data()) {
             assert!((a - b).abs() < 0.25, "fp32 {a} vs int8 {b}");
@@ -739,25 +784,75 @@ mod tests {
             let xs =
                 Tensor::from_vec(&[1, 1, 9, 4], x.data()[s * sample..(s + 1) * sample].to_vec())
                     .unwrap();
-            let ys = q.forward(&xs);
+            let ys = q.forward(&xs, false);
             let row = &y8.data()[s * 6..(s + 1) * 6];
             assert!(row.iter().zip(ys.data()).all(|(p, q)| p.to_bits() == q.to_bits()));
         }
     }
 
     #[test]
+    fn shapes_and_costs_mirror_the_fp32_layers() {
+        use dlbench_data::DatasetKind;
+        use dlbench_frameworks::{arch_defaults, trainer, FrameworkKind, Scale};
+        let mut rng = SeededRng::new(26);
+        let check = |q: &dyn Layer, fp32: &dyn Layer, shape: &[usize]| {
+            assert_eq!(
+                q.output_shape(shape),
+                fp32.output_shape(shape),
+                "{} at {shape:?}",
+                q.name()
+            );
+            assert_eq!(q.cost(shape), fp32.cost(shape), "{} at {shape:?}", q.name());
+        };
+        for fw in FrameworkKind::ALL {
+            for ds in [DatasetKind::Mnist, DatasetKind::Cifar10, DatasetKind::Imdb] {
+                let dims = trainer::input_dims(ds, Scale::Paper.image_size(ds));
+                for (geo, oc) in arch_defaults(fw, ds).conv_geometries(dims) {
+                    let shape = [2, geo.in_channels, geo.in_h, geo.in_w];
+                    if ds.is_text() {
+                        let fp32 = Conv1dBank::new(
+                            oc,
+                            &[geo.kernel_h],
+                            geo.kernel_w,
+                            Initializer::Xavier,
+                            &mut rng,
+                        );
+                        check(&QConv1dBank::from_fp32(&fp32, cal("bank", 0.1, 0)), &fp32, &shape);
+                    } else {
+                        let k = geo.kernel_h;
+                        let fp32 = Conv2d::new(
+                            geo.in_channels,
+                            oc,
+                            k,
+                            geo.stride,
+                            geo.pad,
+                            Initializer::Xavier,
+                            &mut rng,
+                        );
+                        check(&QConv2d::from_fp32(&fp32, cal("conv", 0.1, 0)), &fp32, &shape);
+                    }
+                }
+            }
+        }
+        let lin = Linear::new(24, 10, Initializer::Xavier, &mut rng);
+        check(&QLinear::from_fp32(&lin, cal("linear", 0.1, 0)), &lin, &[5, 24]);
+        let emb = Embedding::new(50, 8, Initializer::Xavier, &mut rng);
+        check(&QEmbedding::from_fp32(&emb, cal("embed", 0.1, 0)), &emb, &[5, 1, 16, 1]);
+    }
+
+    #[test]
     fn batched_forward_is_bitwise_single_sample_forward() {
         let mut rng = SeededRng::new(23);
         let conv = Conv2d::new(1, 2, 3, 1, 1, Initializer::Xavier, &mut rng);
-        let q = QConv2d::from_fp32(&conv, 0.02, -5);
+        let mut q = QConv2d::from_fp32(&conv, cal("conv2d", 0.02, -5));
         let x = Tensor::randn(&[3, 1, 8, 8], 0.0, 1.0, &mut rng);
-        let batched = q.forward(&x);
+        let batched = q.forward(&x, false);
         let sample = x.shape()[1] * x.shape()[2] * x.shape()[3];
         for s in 0..3 {
             let xs =
                 Tensor::from_vec(&[1, 1, 8, 8], x.data()[s * sample..(s + 1) * sample].to_vec())
                     .unwrap();
-            let ys = q.forward(&xs);
+            let ys = q.forward(&xs, false);
             let out_s = batched.len() / 3;
             let b = &batched.data()[s * out_s..(s + 1) * out_s];
             assert!(b.iter().zip(ys.data()).all(|(p, q)| p.to_bits() == q.to_bits()));

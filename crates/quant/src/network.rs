@@ -1,11 +1,17 @@
-//! The quantized network container and its checkpoint mapping.
+//! Reading a quantized [`Network`]: its calibration records and its
+//! version-2 checkpoint entry mapping.
 
-use crate::layers::{QConv1dBank, QConv2d, QEmbedding, QLayer, QLinear};
+use crate::layers::{QConv1dBank, QConv2d, QEmbedding, QLinear};
 use crate::qtensor::QTensor;
-use dlbench_json::JsonValue;
-use dlbench_nn::{CheckpointError, Conv1dBank, Conv2d, Embedding, Linear, Network, QuantEntry};
-use dlbench_tensor::Tensor;
-use dlbench_trace::{span, Category};
+use dlbench_json::{JsonValue, ToJson};
+use dlbench_nn::{
+    CheckpointError, Conv1dBank, Conv2d, Embedding, Layer, Linear, Network, QuantEntry,
+};
+
+/// A quantized model is a plain [`Network`] whose quantizable layers
+/// were swapped for their int8 counterparts. The alias survives because
+/// the benchmark in `perfbench/` names it.
+pub type QuantizedNetwork = Network;
 
 /// Calibration record for one quantized layer — what the observer saw
 /// on the calibration shard and the quantizer derived from it. Surfaced
@@ -32,9 +38,9 @@ pub struct LayerCalibration {
     pub clipped_fraction: f32,
 }
 
-impl LayerCalibration {
+impl ToJson for LayerCalibration {
     /// JSON object for metrics endpoints and reports.
-    pub fn to_json(&self) -> JsonValue {
+    fn to_json(&self) -> JsonValue {
         JsonValue::Object(vec![
             ("layer".into(), JsonValue::from(self.layer.as_str())),
             ("observed_min".into(), JsonValue::from(self.observed_min)),
@@ -48,412 +54,234 @@ impl LayerCalibration {
     }
 }
 
-/// An int8 inference network: the quantized counterparts of a trained
-/// [`Network`]'s `Linear`/`Conv2d` layers interleaved with its original
-/// fp32 layers as fallbacks, plus the calibration record each quantizer
-/// came from.
+/// The calibration record of a quantized layer; `None` for fp32 layers.
+fn layer_calibration(layer: &dyn Layer) -> Option<&LayerCalibration> {
+    let any = layer.as_any();
+    any.downcast_ref::<QLinear>()
+        .map(QLinear::calibration)
+        .or_else(|| any.downcast_ref::<QConv2d>().map(QConv2d::calibration))
+        .or_else(|| any.downcast_ref::<QEmbedding>().map(QEmbedding::calibration))
+        .or_else(|| any.downcast_ref::<QConv1dBank>().map(QConv1dBank::calibration))
+}
+
+/// Per-quantized-layer calibration records of `net`, in layer order
+/// (empty for an fp32 network). Its length is the number of layers on
+/// the int8 path; `.to_json()` is the `/metrics` and report payload.
+pub fn calibration(net: &Network) -> Vec<LayerCalibration> {
+    net.layers().iter().filter_map(|l| layer_calibration(l.as_ref())).cloned().collect()
+}
+
+/// Appends one `I8` entry holding `w`.
+fn push_i8(entries: &mut Vec<QuantEntry>, w: &QTensor) {
+    entries.push(QuantEntry::I8 {
+        dims: w.shape().to_vec(),
+        data: w.data().to_vec(),
+        scale: w.scale,
+        zero_point: w.zero_point,
+    });
+}
+
+/// Serializes a quantized network as a version-2 checkpoint entry
+/// sequence.
 ///
-/// Inference-only: there is no backward pass, and
-/// [`QuantizedNetwork::forward`] rejects training mode.
-pub struct QuantizedNetwork {
-    name: String,
-    layers: Vec<QLayer>,
-    calibration: Vec<LayerCalibration>,
-}
-
-impl QuantizedNetwork {
-    /// Assembles a network from its layers and per-quantized-layer
-    /// calibration records.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the calibration count disagrees with the number of
-    /// quantized layers.
-    pub(crate) fn new(
-        name: String,
-        layers: Vec<QLayer>,
-        calibration: Vec<LayerCalibration>,
-    ) -> Self {
-        let quantized = layers.iter().filter(|l| l.is_quantized()).count();
-        assert_eq!(calibration.len(), quantized, "one calibration record per quantized layer");
-        Self { name, layers, calibration }
-    }
-
-    /// The network's diagnostic name (inherited from the fp32 source).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Number of layers.
-    pub fn len(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Whether the network has no layers.
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
-    }
-
-    /// Number of layers running on the int8 path.
-    pub fn num_quantized(&self) -> usize {
-        self.layers.iter().filter(|l| l.is_quantized()).count()
-    }
-
-    /// Per-quantized-layer calibration records, in layer order.
-    pub fn calibration(&self) -> &[LayerCalibration] {
-        &self.calibration
-    }
-
-    /// The calibration records as a JSON array (the `/metrics` and
-    /// report-fact payload).
-    pub fn calibration_json(&self) -> JsonValue {
-        JsonValue::Array(self.calibration.iter().map(LayerCalibration::to_json).collect())
-    }
-
-    /// One-line-per-layer description, quantized layers marked.
-    pub fn describe(&self) -> Vec<String> {
-        self.layers
-            .iter()
-            .map(|l| {
-                if l.is_quantized() {
-                    format!("{} (int8)", l.name())
-                } else {
-                    format!("{} (fp32 fallback)", l.name())
-                }
-            })
-            .collect()
-    }
-
-    /// Runs all layers forward, returning logits. `train` must be
-    /// `false` — quantized networks are inference-only.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `train` is requested.
-    pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        assert!(!train, "quantized networks are inference-only");
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            let _span = span(Category::Layer, layer.name());
-            x = layer.forward(&x);
-        }
-        x
-    }
-
-    /// Runs layers `start..` forward on an intermediate activation —
-    /// the int8 counterpart of `Network::forward_from`. The text
-    /// robustness bench uses this to replay embedding-space adversarial
-    /// examples (crafted against the fp32 model) through the quantized
-    /// suffix: the first quantized layer re-quantizes the fp32
-    /// activation with its frozen calibration parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start` exceeds the layer count.
-    pub fn forward_from(&mut self, start: usize, input: &Tensor) -> Tensor {
-        assert!(
-            start <= self.layers.len(),
-            "forward_from({start}) on {} layers",
-            self.layers.len()
-        );
-        let mut x = input.clone();
-        for layer in &mut self.layers[start..] {
-            let _span = span(Category::Layer, layer.name());
-            x = layer.forward(&x);
-        }
-        x
-    }
-
-    /// Serializes the network as a version-2 checkpoint entry sequence.
-    ///
-    /// Each quantized `Linear`/`Conv2d` layer contributes four entries,
-    /// in order: the `i8` weight tensor (symmetric, carrying the weight
-    /// scale), the `f32` bias, a zero-length `i8` marker carrying the
-    /// activation quantizer (scale + zero point), and an `f32` `[5]`
-    /// statistics tensor (`observed_min`, `observed_max`, `range_lo`,
-    /// `range_hi`, `clipped_fraction`). A quantized `Embedding` uses the
-    /// same group with its table as the weight and a zero-length bias
-    /// (the layer has none). A quantized `Conv1dBank` contributes one
-    /// `(i8 weight, f32 bias)` pair per branch in branch order, then the
-    /// shared activation marker and statistics. Fallback layers
-    /// contribute one plain `f32` entry per parameter, in `params()`
-    /// order.
-    pub fn to_entries(&mut self) -> Vec<QuantEntry> {
-        let mut entries = Vec::new();
-        let mut cal = self.calibration.iter();
-        for layer in &mut self.layers {
-            match layer {
-                QLayer::Linear(l) => {
-                    let c = cal.next().expect("calibration per quantized layer");
-                    let w = l.weight_t();
-                    entries.push(QuantEntry::I8 {
-                        dims: w.shape().to_vec(),
-                        data: w.data().to_vec(),
-                        scale: w.scale,
-                        zero_point: w.zero_point,
-                    });
-                    entries.push(QuantEntry::F32 {
-                        dims: vec![l.bias().len()],
-                        data: l.bias().to_vec(),
-                    });
-                    push_act_and_stats(&mut entries, l.activation_params(), c);
-                }
-                QLayer::Conv2d(cv) => {
-                    let c = cal.next().expect("calibration per quantized layer");
-                    let w = cv.weight();
-                    entries.push(QuantEntry::I8 {
-                        dims: w.shape().to_vec(),
-                        data: w.data().to_vec(),
-                        scale: w.scale,
-                        zero_point: w.zero_point,
-                    });
-                    entries.push(QuantEntry::F32 {
-                        dims: vec![cv.bias().len()],
-                        data: cv.bias().to_vec(),
-                    });
-                    push_act_and_stats(&mut entries, cv.activation_params(), c);
-                }
-                QLayer::Embedding(e) => {
-                    let c = cal.next().expect("calibration per quantized layer");
-                    let t = e.table();
-                    entries.push(QuantEntry::I8 {
-                        dims: t.shape().to_vec(),
-                        data: t.data().to_vec(),
-                        scale: t.scale,
-                        zero_point: t.zero_point,
-                    });
-                    // The table has no bias; a zero-length entry keeps
-                    // the four-entry group shape.
-                    entries.push(QuantEntry::F32 { dims: vec![0], data: vec![] });
-                    // The lookup ignores the input quantizer, but the
-                    // marker still records what the observer derived so
-                    // the calibration report round-trips.
-                    push_act_and_stats(&mut entries, (c.scale, c.zero_point), c);
-                }
-                QLayer::Conv1dBank(bank) => {
-                    let c = cal.next().expect("calibration per quantized layer");
-                    for (w, bias) in bank.branch_parts() {
-                        entries.push(QuantEntry::I8 {
-                            dims: w.shape().to_vec(),
-                            data: w.data().to_vec(),
-                            scale: w.scale,
-                            zero_point: w.zero_point,
-                        });
-                        entries
-                            .push(QuantEntry::F32 { dims: vec![bias.len()], data: bias.to_vec() });
-                    }
-                    push_act_and_stats(&mut entries, bank.activation_params(), c);
-                }
-                QLayer::Fallback(l) => {
-                    for p in l.params() {
-                        entries.push(QuantEntry::F32 {
-                            dims: p.value.shape().to_vec(),
-                            data: p.value.data().to_vec(),
-                        });
-                    }
-                }
+/// Each quantized `Linear`/`Conv2d` layer contributes four entries, in
+/// order: the `i8` weight tensor (symmetric, carrying the weight scale),
+/// the `f32` bias, a zero-length `i8` marker carrying the activation
+/// quantizer (scale + zero point), and an `f32` `[5]` statistics tensor
+/// (`observed_min`, `observed_max`, `range_lo`, `range_hi`,
+/// `clipped_fraction`). A quantized `Embedding` uses the same group with
+/// its table as the weight and a zero-length bias (the layer has none).
+/// A quantized `Conv1dBank` contributes one `(i8 weight, f32 bias)` pair
+/// per branch in branch order, then the shared activation marker and
+/// statistics. Every other layer contributes one plain `f32` entry per
+/// parameter, in `params()` order.
+pub fn to_entries(net: &mut Network) -> Vec<QuantEntry> {
+    let mut entries = Vec::new();
+    for layer in net.layers_mut() {
+        let any = layer.as_ref().as_any();
+        let c = if let Some(l) = any.downcast_ref::<QLinear>() {
+            push_i8(&mut entries, l.weight_t());
+            entries.push(QuantEntry::F32 { dims: vec![l.bias().len()], data: l.bias().to_vec() });
+            l.calibration()
+        } else if let Some(cv) = any.downcast_ref::<QConv2d>() {
+            push_i8(&mut entries, cv.weight());
+            entries.push(QuantEntry::F32 { dims: vec![cv.bias().len()], data: cv.bias().to_vec() });
+            cv.calibration()
+        } else if let Some(e) = any.downcast_ref::<QEmbedding>() {
+            push_i8(&mut entries, e.table());
+            // The table has no bias; a zero-length entry keeps the
+            // four-entry group shape. The lookup ignores the input
+            // quantizer, but the marker still records what the observer
+            // derived so the calibration report round-trips.
+            entries.push(QuantEntry::F32 { dims: vec![0], data: vec![] });
+            e.calibration()
+        } else if let Some(bank) = any.downcast_ref::<QConv1dBank>() {
+            for (w, bias) in bank.branch_parts() {
+                push_i8(&mut entries, w);
+                entries.push(QuantEntry::F32 { dims: vec![bias.len()], data: bias.to_vec() });
             }
-        }
-        entries
-    }
-
-    /// Rebuilds a quantized network from a version-2 checkpoint entry
-    /// sequence, validated against the freshly built fp32 architecture
-    /// `arch` (the same network the checkpoint's training cell used).
-    /// Stored int8 weights are adopted bit-for-bit — never re-quantized
-    /// — so a save/load round trip preserves every output bit.
-    ///
-    /// All mismatches (entry count, dtype, shape) are structured
-    /// [`CheckpointError::StructureMismatch`] values, never panics.
-    pub fn from_entries(arch: Network, entries: &[QuantEntry]) -> Result<Self, CheckpointError> {
-        let name = arch.name().to_string();
-        let mut idx = 0usize;
-        let mut next = |what: &str| {
-            let i = idx;
-            idx += 1;
-            entries.get(i).map(|e| (i, e)).ok_or_else(|| {
-                CheckpointError::StructureMismatch(format!(
-                    "checkpoint ended early: expected {what}"
-                ))
-            })
+            bank.calibration()
+        } else {
+            for p in layer.params() {
+                entries.push(QuantEntry::F32 {
+                    dims: p.value.shape().to_vec(),
+                    data: p.value.data().to_vec(),
+                });
+            }
+            continue;
         };
-        let mut layers = Vec::new();
-        let mut calibration = Vec::new();
-        for (li, layer) in arch.into_layers().into_iter().enumerate() {
-            if layer.as_any().is::<Linear>() {
-                let lin = layer.into_any().downcast::<Linear>().expect("probed as Linear");
-                let label = format!("linear[{li}]");
-                let (weight, bias, act, stats) = read_group(&label, &mut next)?;
-                let want = [lin.in_features(), lin.out_features()];
-                if weight.shape() != want {
-                    return Err(CheckpointError::StructureMismatch(format!(
-                        "{label}: weight shape {:?} != expected {want:?}",
-                        weight.shape()
-                    )));
-                }
-                if bias.len() != lin.out_features() {
-                    return Err(CheckpointError::StructureMismatch(format!(
-                        "{label}: bias length {} != {}",
-                        bias.len(),
-                        lin.out_features()
-                    )));
-                }
-                layers.push(QLayer::Linear(QLinear::from_parts(weight, bias, act.0, act.1)));
-                calibration.push(stats_record(label, act, stats));
-            } else if layer.as_any().is::<Conv2d>() {
-                let conv = layer.into_any().downcast::<Conv2d>().expect("probed as Conv2d");
-                let label = format!("conv2d[{li}]");
-                let (weight, bias, act, stats) = read_group(&label, &mut next)?;
-                let k = conv.kernel();
-                let want = [conv.out_channels(), conv.in_channels() * k * k];
-                if weight.shape() != want {
-                    return Err(CheckpointError::StructureMismatch(format!(
-                        "{label}: weight shape {:?} != expected {want:?}",
-                        weight.shape()
-                    )));
-                }
-                if bias.len() != conv.out_channels() {
-                    return Err(CheckpointError::StructureMismatch(format!(
-                        "{label}: bias length {} != {}",
-                        bias.len(),
-                        conv.out_channels()
-                    )));
-                }
-                layers.push(QLayer::Conv2d(QConv2d::from_parts(
-                    weight,
-                    bias,
-                    conv.in_channels(),
-                    k,
-                    conv.stride(),
-                    conv.pad(),
-                    act.0,
-                    act.1,
-                )));
-                calibration.push(stats_record(label, act, stats));
-            } else if layer.as_any().is::<Embedding>() {
-                let emb = layer.into_any().downcast::<Embedding>().expect("probed as Embedding");
-                let label = format!("embedding[{li}]");
-                let (table, bias, act, stats) = read_group(&label, &mut next)?;
-                let want = [emb.vocab(), emb.dim()];
-                if table.shape() != want {
-                    return Err(CheckpointError::StructureMismatch(format!(
-                        "{label}: table shape {:?} != expected {want:?}",
-                        table.shape()
-                    )));
-                }
-                if !bias.is_empty() {
-                    return Err(CheckpointError::StructureMismatch(format!(
-                        "{label}: embeddings have no bias, found {} values",
-                        bias.len()
-                    )));
-                }
-                layers.push(QLayer::Embedding(QEmbedding::from_parts(table)));
-                calibration.push(stats_record(label, act, stats));
-            } else if layer.as_any().is::<Conv1dBank>() {
-                let bank = layer.into_any().downcast::<Conv1dBank>().expect("probed as Conv1dBank");
-                let label = format!("conv1d_bank[{li}]");
-                let filters = bank.filters();
-                let embed_dim = bank.convs()[0].embed_dim();
-                let mut branches = Vec::new();
-                for (bi, width) in bank.widths().into_iter().enumerate() {
-                    let blabel = format!("{label} branch {bi}");
-                    let weight = read_i8(&format!("{blabel} int8 weight"), &mut next)?;
-                    let want = [filters, width * embed_dim];
-                    if weight.shape() != want {
-                        return Err(CheckpointError::StructureMismatch(format!(
-                            "{blabel}: weight shape {:?} != expected {want:?}",
-                            weight.shape()
-                        )));
-                    }
-                    let bias = read_f32(&format!("{blabel} bias"), &mut next)?;
-                    if bias.len() != filters {
-                        return Err(CheckpointError::StructureMismatch(format!(
-                            "{blabel}: bias length {} != {filters}",
-                            bias.len()
-                        )));
-                    }
-                    branches.push((weight, bias));
-                }
-                let act = read_act(&label, &mut next)?;
-                let stats = read_stats(&label, &mut next)?;
-                layers.push(QLayer::Conv1dBank(QConv1dBank::from_parts(
-                    filters, embed_dim, branches, act.0, act.1,
-                )));
-                calibration.push(stats_record(label, act, stats));
-            } else {
-                let mut layer = layer;
-                for p in layer.params() {
-                    let (i, e) = next(&format!("fp32 parameter for layer {li}"))?;
-                    match e {
-                        QuantEntry::F32 { dims, data } if dims == p.value.shape() => {
-                            p.value.data_mut().copy_from_slice(data);
-                        }
-                        QuantEntry::F32 { dims, .. } => {
-                            return Err(CheckpointError::StructureMismatch(format!(
-                                "entry {i}: fallback parameter shape {dims:?} != network \
-                                 shape {:?}",
-                                p.value.shape()
-                            )));
-                        }
-                        QuantEntry::I8 { .. } => {
-                            return Err(CheckpointError::StructureMismatch(format!(
-                                "entry {i}: int8 entry where layer {li} expects an fp32 \
-                                 parameter"
-                            )));
-                        }
-                    }
-                }
-                layers.push(QLayer::Fallback(layer));
-            }
-        }
-        let _ = next;
-        if idx < entries.len() {
-            return Err(CheckpointError::StructureMismatch(format!(
-                "checkpoint has {} trailing entries starting at entry {idx}",
-                entries.len() - idx
-            )));
-        }
-        Ok(Self::new(name, layers, calibration))
+        push_act_and_stats(&mut entries, c);
     }
+    entries
 }
 
-impl std::fmt::Debug for QuantizedNetwork {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QuantizedNetwork")
-            .field("name", &self.name)
-            .field("layers", &self.describe())
-            .finish()
+/// Rebuilds a quantized network from a version-2 checkpoint entry
+/// sequence, validated against the freshly built fp32 architecture
+/// `arch` (the same network the checkpoint's training cell used).
+/// Stored int8 weights are adopted bit-for-bit — never re-quantized —
+/// so a save/load round trip preserves every output bit.
+///
+/// All mismatches (entry count, dtype, shape) are structured
+/// [`CheckpointError::StructureMismatch`] values, never panics.
+pub fn from_entries(arch: Network, entries: &[QuantEntry]) -> Result<Network, CheckpointError> {
+    let mut net = Network::new(arch.name());
+    let mut idx = 0usize;
+    let mut next = |what: &str| {
+        let i = idx;
+        idx += 1;
+        entries.get(i).map(|e| (i, e)).ok_or_else(|| {
+            CheckpointError::StructureMismatch(format!("checkpoint ended early: expected {what}"))
+        })
+    };
+    for (li, layer) in arch.into_layers().into_iter().enumerate() {
+        if layer.as_any().is::<Linear>() {
+            let lin = layer.into_any().downcast::<Linear>().expect("probed as Linear");
+            let label = format!("linear[{li}]");
+            let (weight, bias, calibration) = read_group(label, &mut next)?;
+            let want = [lin.in_features(), lin.out_features()];
+            check_weight(&calibration.layer, &weight, &want)?;
+            check_bias(&calibration.layer, &bias, lin.out_features())?;
+            net.push(QLinear::from_parts(weight, bias, calibration));
+        } else if layer.as_any().is::<Conv2d>() {
+            let conv = layer.into_any().downcast::<Conv2d>().expect("probed as Conv2d");
+            let label = format!("conv2d[{li}]");
+            let (weight, bias, calibration) = read_group(label, &mut next)?;
+            let k = conv.kernel();
+            let want = [conv.out_channels(), conv.in_channels() * k * k];
+            check_weight(&calibration.layer, &weight, &want)?;
+            check_bias(&calibration.layer, &bias, conv.out_channels())?;
+            net.push(QConv2d::from_parts(
+                weight,
+                bias,
+                conv.in_channels(),
+                k,
+                conv.stride(),
+                conv.pad(),
+                calibration,
+            ));
+        } else if layer.as_any().is::<Embedding>() {
+            let emb = layer.into_any().downcast::<Embedding>().expect("probed as Embedding");
+            let label = format!("embedding[{li}]");
+            let (table, bias, calibration) = read_group(label, &mut next)?;
+            check_weight(&calibration.layer, &table, &[emb.vocab(), emb.dim()])?;
+            if !bias.is_empty() {
+                return Err(CheckpointError::StructureMismatch(format!(
+                    "{}: embeddings have no bias, found {} values",
+                    calibration.layer,
+                    bias.len()
+                )));
+            }
+            net.push(QEmbedding::from_parts(table, calibration));
+        } else if layer.as_any().is::<Conv1dBank>() {
+            let bank = layer.into_any().downcast::<Conv1dBank>().expect("probed as Conv1dBank");
+            let label = format!("conv1d_bank[{li}]");
+            let filters = bank.filters();
+            let embed_dim = bank.convs()[0].embed_dim();
+            let mut branches = Vec::new();
+            for (bi, width) in bank.widths().into_iter().enumerate() {
+                let blabel = format!("{label} branch {bi}");
+                let weight = read_i8(&format!("{blabel} int8 weight"), &mut next)?;
+                check_weight(&blabel, &weight, &[filters, width * embed_dim])?;
+                let bias = read_f32(&format!("{blabel} bias"), &mut next)?;
+                check_bias(&blabel, &bias, filters)?;
+                branches.push((weight, bias));
+            }
+            let calibration = read_calibration(label, &mut next)?;
+            net.push(QConv1dBank::from_parts(filters, embed_dim, branches, calibration));
+        } else {
+            let mut layer = layer;
+            for p in layer.params() {
+                let (i, e) = next(&format!("fp32 parameter for layer {li}"))?;
+                match e {
+                    QuantEntry::F32 { dims, data } if dims == p.value.shape() => {
+                        p.value.data_mut().copy_from_slice(data);
+                    }
+                    QuantEntry::F32 { dims, .. } => {
+                        return Err(CheckpointError::StructureMismatch(format!(
+                            "entry {i}: fallback parameter shape {dims:?} != network shape {:?}",
+                            p.value.shape()
+                        )));
+                    }
+                    QuantEntry::I8 { .. } => {
+                        return Err(CheckpointError::StructureMismatch(format!(
+                            "entry {i}: int8 entry where layer {li} expects an fp32 parameter"
+                        )));
+                    }
+                }
+            }
+            net.push_boxed(layer);
+        }
     }
+    let _ = next;
+    if idx < entries.len() {
+        return Err(CheckpointError::StructureMismatch(format!(
+            "checkpoint has {} trailing entries starting at entry {idx}",
+            entries.len() - idx
+        )));
+    }
+    Ok(net)
+}
+
+/// Rejects a stored weight whose shape disagrees with the architecture.
+fn check_weight(label: &str, weight: &QTensor, want: &[usize]) -> Result<(), CheckpointError> {
+    if weight.shape() == want {
+        return Ok(());
+    }
+    Err(CheckpointError::StructureMismatch(format!(
+        "{label}: weight shape {:?} != expected {want:?}",
+        weight.shape()
+    )))
+}
+
+/// Rejects a stored bias whose length disagrees with the architecture.
+fn check_bias(label: &str, bias: &[f32], want: usize) -> Result<(), CheckpointError> {
+    if bias.len() == want {
+        return Ok(());
+    }
+    Err(CheckpointError::StructureMismatch(format!(
+        "{label}: bias length {} != {want}",
+        bias.len()
+    )))
 }
 
 /// Appends the activation-quantizer marker and statistics entries of
 /// one quantized layer.
-fn push_act_and_stats(entries: &mut Vec<QuantEntry>, act: (f32, i8), c: &LayerCalibration) {
-    entries.push(QuantEntry::I8 { dims: vec![0], data: vec![], scale: act.0, zero_point: act.1 });
+fn push_act_and_stats(entries: &mut Vec<QuantEntry>, c: &LayerCalibration) {
+    entries.push(QuantEntry::I8 {
+        dims: vec![0],
+        data: vec![],
+        scale: c.scale,
+        zero_point: c.zero_point,
+    });
     entries.push(QuantEntry::F32 {
         dims: vec![5],
         data: vec![c.observed_min, c.observed_max, c.range_lo, c.range_hi, c.clipped_fraction],
     });
 }
 
-/// Builds the calibration record back from a checkpoint's activation
-/// quantizer and statistics entries.
-fn stats_record(layer: String, act: (f32, i8), stats: [f32; 5]) -> LayerCalibration {
-    LayerCalibration {
-        layer,
-        observed_min: stats[0],
-        observed_max: stats[1],
-        range_lo: stats[2],
-        range_hi: stats[3],
-        scale: act.0,
-        zero_point: act.1,
-        clipped_fraction: stats[4],
-    }
-}
-
-/// One decoded quantized-layer group: int8 weight, fp32 bias,
-/// activation `(scale, zero_point)`, calibration statistics.
-type LayerGroup = (QTensor, Vec<f32>, (f32, i8), [f32; 5]);
+/// One decoded quantized-layer group: int8 weight, fp32 bias and the
+/// calibration record.
+type LayerGroup = (QTensor, Vec<f32>, LayerCalibration);
 
 /// Reads one int8 tensor entry.
 fn read_i8<'a, F>(what: &str, next: &mut F) -> Result<QTensor, CheckpointError>
@@ -483,31 +311,34 @@ where
     }
 }
 
-/// Reads the zero-length int8 marker carrying one layer's activation
-/// quantizer.
-fn read_act<'a, F>(label: &str, next: &mut F) -> Result<(f32, i8), CheckpointError>
+/// Reads one layer's calibration record: the zero-length int8 marker
+/// carrying its activation quantizer, then its 5-value fp32 statistics
+/// tensor.
+fn read_calibration<'a, F>(label: String, next: &mut F) -> Result<LayerCalibration, CheckpointError>
 where
     F: FnMut(&str) -> Result<(usize, &'a QuantEntry), CheckpointError>,
 {
-    match next(&format!("{label} activation quantizer"))? {
+    let (scale, zero_point) = match next(&format!("{label} activation quantizer"))? {
         (_, QuantEntry::I8 { data, scale, zero_point, .. }) if data.is_empty() => {
-            Ok((*scale, *zero_point))
+            (*scale, *zero_point)
         }
-        (i, _) => Err(CheckpointError::StructureMismatch(format!(
-            "entry {i}: {label} expects a zero-length int8 activation-quantizer marker"
-        ))),
-    }
-}
-
-/// Reads the 5-value fp32 statistics tensor of one quantized layer.
-fn read_stats<'a, F>(label: &str, next: &mut F) -> Result<[f32; 5], CheckpointError>
-where
-    F: FnMut(&str) -> Result<(usize, &'a QuantEntry), CheckpointError>,
-{
+        (i, _) => {
+            return Err(CheckpointError::StructureMismatch(format!(
+                "entry {i}: {label} expects a zero-length int8 activation-quantizer marker"
+            )))
+        }
+    };
     match next(&format!("{label} calibration statistics"))? {
-        (_, QuantEntry::F32 { data, .. }) if data.len() == 5 => {
-            Ok([data[0], data[1], data[2], data[3], data[4]])
-        }
+        (_, QuantEntry::F32 { data, .. }) if data.len() == 5 => Ok(LayerCalibration {
+            layer: label,
+            observed_min: data[0],
+            observed_max: data[1],
+            range_lo: data[2],
+            range_hi: data[3],
+            scale,
+            zero_point,
+            clipped_fraction: data[4],
+        }),
         (i, _) => Err(CheckpointError::StructureMismatch(format!(
             "entry {i}: {label} expects a 5-value fp32 statistics tensor"
         ))),
@@ -516,22 +347,20 @@ where
 
 /// Reads the four-entry group of one quantized layer: weight, bias,
 /// activation marker, statistics.
-fn read_group<'a, F>(label: &str, next: &mut F) -> Result<LayerGroup, CheckpointError>
+fn read_group<'a, F>(label: String, next: &mut F) -> Result<LayerGroup, CheckpointError>
 where
     F: FnMut(&str) -> Result<(usize, &'a QuantEntry), CheckpointError>,
 {
     let weight = read_i8(&format!("{label} int8 weight"), next)?;
     let bias = read_f32(&format!("{label} bias"), next)?;
-    let act = read_act(label, next)?;
-    let stats = read_stats(label, next)?;
-    Ok((weight, bias, act, stats))
+    Ok((weight, bias, read_calibration(label, next)?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dlbench_nn::{Flatten, Initializer, MaxPool2d, Relu};
-    use dlbench_tensor::SeededRng;
+    use dlbench_tensor::{SeededRng, Tensor};
 
     fn arch(seed: u64) -> Network {
         let mut rng = SeededRng::new(seed);
@@ -557,24 +386,30 @@ mod tests {
         }
     }
 
-    fn quantize_by_hand(net: Network) -> QuantizedNetwork {
-        let name = net.name().to_string();
-        let mut layers = Vec::new();
-        let mut calibration = Vec::new();
+    /// Swaps every quantizable layer for its int8 counterpart with a
+    /// fixed calibration record.
+    fn quantize_by_hand(net: Network) -> Network {
+        let mut q = Network::new(net.name());
         for (li, layer) in net.into_layers().into_iter().enumerate() {
-            if layer.as_any().is::<Linear>() {
-                let lin = layer.into_any().downcast::<Linear>().unwrap();
-                layers.push(QLayer::Linear(QLinear::from_fp32(&lin, 0.0122, -30)));
-                calibration.push(cal(&format!("linear[{li}]")));
-            } else if layer.as_any().is::<Conv2d>() {
-                let conv = layer.into_any().downcast::<Conv2d>().unwrap();
-                layers.push(QLayer::Conv2d(QConv2d::from_fp32(&conv, 0.0122, -30)));
-                calibration.push(cal(&format!("conv2d[{li}]")));
+            let any = layer.as_ref().as_any();
+            if let Some(lin) = any.downcast_ref::<Linear>() {
+                q.push(QLinear::from_fp32(lin, cal(&format!("linear[{li}]"))));
+            } else if let Some(conv) = any.downcast_ref::<Conv2d>() {
+                q.push(QConv2d::from_fp32(conv, cal(&format!("conv2d[{li}]"))));
+            } else if let Some(emb) = any.downcast_ref::<Embedding>() {
+                q.push(QEmbedding::from_fp32(emb, cal(&format!("embedding[{li}]"))));
+            } else if let Some(bank) = any.downcast_ref::<Conv1dBank>() {
+                q.push(QConv1dBank::from_fp32(bank, cal(&format!("conv1d_bank[{li}]"))));
             } else {
-                layers.push(QLayer::Fallback(layer));
+                q.push_boxed(layer);
             }
         }
-        QuantizedNetwork::new(name, layers, calibration)
+        q
+    }
+
+    fn same_bits(a: &Tensor, b: &Tensor) -> bool {
+        a.shape() == b.shape()
+            && a.data().iter().zip(b.data()).all(|(x, y)| x.to_bits() == y.to_bits())
     }
 
     #[test]
@@ -583,31 +418,29 @@ mod tests {
         let mut rng = SeededRng::new(8);
         let x = Tensor::randn(&[2, 1, 8, 8], 0.0, 1.0, &mut rng);
         let before = q.forward(&x, false);
-        let entries = q.to_entries();
-        let mut back = QuantizedNetwork::from_entries(arch(99), &entries).unwrap();
-        let after = back.forward(&x, false);
-        assert!(before.data().iter().zip(after.data()).all(|(a, b)| a.to_bits() == b.to_bits()));
-        assert_eq!(back.num_quantized(), 2);
-        assert_eq!(back.calibration(), q.calibration());
+        let entries = to_entries(&mut q);
+        let mut back = from_entries(arch(99), &entries).unwrap();
+        assert!(same_bits(&before, &back.forward(&x, false)));
+        assert_eq!(calibration(&back).len(), 2);
+        assert_eq!(calibration(&back), calibration(&q));
     }
 
     #[test]
     fn from_entries_rejects_wrong_architecture_and_truncation() {
-        let mut q = quantize_by_hand(arch(31));
-        let entries = q.to_entries();
+        let entries = to_entries(&mut quantize_by_hand(arch(31)));
         // Wrong architecture: a different linear width.
         let mut rng = SeededRng::new(1);
         let mut other = Network::new("other");
         other.push(Linear::new(4, 4, Initializer::Xavier, &mut rng));
-        let err = QuantizedNetwork::from_entries(other, &entries).unwrap_err();
+        let err = from_entries(other, &entries).unwrap_err();
         assert!(matches!(err, CheckpointError::StructureMismatch(_)), "{err}");
         // Truncated entry list.
-        let err = QuantizedNetwork::from_entries(arch(1), &entries[..3]).unwrap_err();
+        let err = from_entries(arch(1), &entries[..3]).unwrap_err();
         assert!(matches!(err, CheckpointError::StructureMismatch(_)), "{err}");
         // Trailing entries.
         let mut extra = entries.clone();
         extra.push(QuantEntry::F32 { dims: vec![1], data: vec![0.0] });
-        let err = QuantizedNetwork::from_entries(arch(1), &extra).unwrap_err();
+        let err = from_entries(arch(1), &extra).unwrap_err();
         assert!(matches!(err, CheckpointError::StructureMismatch(_)), "{err}");
     }
 
@@ -621,30 +454,6 @@ mod tests {
         net
     }
 
-    fn quantize_text_by_hand(net: Network) -> QuantizedNetwork {
-        let name = net.name().to_string();
-        let mut layers = Vec::new();
-        let mut calibration = Vec::new();
-        for (li, layer) in net.into_layers().into_iter().enumerate() {
-            if layer.as_any().is::<Embedding>() {
-                let emb = layer.into_any().downcast::<Embedding>().unwrap();
-                layers.push(QLayer::Embedding(crate::QEmbedding::from_fp32(&emb)));
-                calibration.push(cal(&format!("embedding[{li}]")));
-            } else if layer.as_any().is::<Conv1dBank>() {
-                let bank = layer.into_any().downcast::<Conv1dBank>().unwrap();
-                layers.push(QLayer::Conv1dBank(crate::QConv1dBank::from_fp32(&bank, 0.0122, -30)));
-                calibration.push(cal(&format!("conv1d_bank[{li}]")));
-            } else if layer.as_any().is::<Linear>() {
-                let lin = layer.into_any().downcast::<Linear>().unwrap();
-                layers.push(QLayer::Linear(QLinear::from_fp32(&lin, 0.0122, -30)));
-                calibration.push(cal(&format!("linear[{li}]")));
-            } else {
-                layers.push(QLayer::Fallback(layer));
-            }
-        }
-        QuantizedNetwork::new(name, layers, calibration)
-    }
-
     fn token_batch() -> Tensor {
         let tokens: Vec<f32> = (0..2 * 7).map(|i| ((i * 13) % 20) as f32).collect();
         Tensor::from_vec(&[2, 1, 7, 1], tokens).unwrap()
@@ -652,21 +461,19 @@ mod tests {
 
     #[test]
     fn text_entries_roundtrip_preserves_every_output_bit() {
-        let mut q = quantize_text_by_hand(text_arch(41));
+        let mut q = quantize_by_hand(text_arch(41));
         let x = token_batch();
         let before = q.forward(&x, false);
-        let entries = q.to_entries();
-        let mut back = QuantizedNetwork::from_entries(text_arch(77), &entries).unwrap();
-        let after = back.forward(&x, false);
-        assert!(before.data().iter().zip(after.data()).all(|(a, b)| a.to_bits() == b.to_bits()));
-        assert_eq!(back.num_quantized(), 3);
-        assert_eq!(back.calibration(), q.calibration());
+        let entries = to_entries(&mut q);
+        let mut back = from_entries(text_arch(77), &entries).unwrap();
+        assert!(same_bits(&before, &back.forward(&x, false)));
+        assert_eq!(calibration(&back).len(), 3);
+        assert_eq!(calibration(&back), calibration(&q));
     }
 
     #[test]
     fn text_entries_reject_mismatched_tables_and_truncation() {
-        let mut q = quantize_text_by_hand(text_arch(41));
-        let entries = q.to_entries();
+        let entries = to_entries(&mut quantize_by_hand(text_arch(41)));
         // Wrong vocabulary: the target arch's table disagrees.
         let mut rng = SeededRng::new(2);
         let mut other = Network::new("other");
@@ -674,15 +481,15 @@ mod tests {
         other.push(Conv1dBank::new(3, &[2, 3], 6, Initializer::Xavier, &mut rng));
         other.push(Relu::new());
         other.push(Linear::new(6, 2, Initializer::Xavier, &mut rng));
-        let err = QuantizedNetwork::from_entries(other, &entries).unwrap_err();
+        let err = from_entries(other, &entries).unwrap_err();
         assert!(matches!(err, CheckpointError::StructureMismatch(_)), "{err}");
         // Truncated mid-bank: the second branch's bias is missing.
-        let err = QuantizedNetwork::from_entries(text_arch(1), &entries[..7]).unwrap_err();
+        let err = from_entries(text_arch(1), &entries[..7]).unwrap_err();
         assert!(matches!(err, CheckpointError::StructureMismatch(_)), "{err}");
         // A non-empty embedding bias is rejected (embeddings have none).
         let mut forged = entries.clone();
         forged[1] = QuantEntry::F32 { dims: vec![1], data: vec![0.5] };
-        let err = QuantizedNetwork::from_entries(text_arch(1), &forged).unwrap_err();
+        let err = from_entries(text_arch(1), &forged).unwrap_err();
         assert!(matches!(err, CheckpointError::StructureMismatch(_)), "{err}");
         // A bank branch weight with the wrong window width is rejected.
         let mut forged = entries.clone();
@@ -692,24 +499,51 @@ mod tests {
             scale: 0.01,
             zero_point: 0,
         };
-        let err = QuantizedNetwork::from_entries(text_arch(1), &forged).unwrap_err();
+        let err = from_entries(text_arch(1), &forged).unwrap_err();
         assert!(matches!(err, CheckpointError::StructureMismatch(_)), "{err}");
     }
 
+    /// Quantized layers are inference-only: a quantized `Network`
+    /// panics on a training-mode forward and on backward.
     #[test]
     fn forward_rejects_training_mode() {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let panics = |f: &dyn Fn(&mut Network)| {
             let mut q = quantize_by_hand(arch(31));
-            let x = Tensor::zeros(&[1, 1, 8, 8]);
-            q.forward(&x, true);
-        }));
-        assert!(result.is_err(), "train=true must be rejected");
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut q))).is_err()
+        };
+        let x = Tensor::zeros(&[1, 1, 8, 8]);
+        assert!(panics(&|q| drop(q.forward(&x, true))), "train=true must be rejected");
+        assert!(
+            panics(&|q| {
+                let y = q.forward(&x, false);
+                drop(q.backward(&y));
+            }),
+            "backward must be rejected"
+        );
+        assert!(!panics(&|q| drop(q.forward(&x, false))), "inference must run");
+    }
+
+    #[test]
+    fn split_forward_matches_whole_forward_at_every_layer() {
+        let image = (
+            quantize_by_hand(arch(31)),
+            Tensor::randn(&[3, 1, 8, 8], 0.0, 1.0, &mut SeededRng::new(5)),
+        );
+        let text = (quantize_by_hand(text_arch(41)), token_batch());
+        for (mut q, x) in [image, text] {
+            let whole = q.forward(&x, false);
+            for k in 0..=q.len() {
+                let mid = q.forward_prefix(k, &x, false);
+                let out = q.forward_from(k, &mid, false);
+                assert!(same_bits(&whole, &out), "{}: split at {k} diverged", q.name());
+            }
+        }
     }
 
     #[test]
     fn calibration_json_carries_all_fields() {
         let q = quantize_by_hand(arch(31));
-        let json = q.calibration_json();
+        let json = calibration(&q).to_json();
         let text = json.pretty();
         for field in [
             "layer",

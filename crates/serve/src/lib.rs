@@ -39,7 +39,7 @@ pub use batcher::{BatchConfig, MicroBatcher, Prediction};
 pub use http::{serve, RunningServer};
 pub use loadgen::{LoadConfig, LoadMode, LoadReport};
 pub use metrics::ServeMetrics;
-pub use model::{ModelDtype, ModelRegistry, ModelSpec, ServedModel, ServingModel};
+pub use model::{ModelDtype, ModelRegistry, ModelSpec, ServedModel};
 
 /// Errors surfaced by the serving layer. Each maps onto a well-defined
 /// HTTP status so overload and misuse degrade gracefully.

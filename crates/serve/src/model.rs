@@ -7,10 +7,9 @@ use crate::metrics::ServeMetrics;
 use crate::ServeError;
 use dlbench_data::{DatasetKind, Preprocessing};
 use dlbench_frameworks::{trainer, DefaultSetting, FrameworkKind, Scale};
-use dlbench_json::JsonValue;
+use dlbench_json::{JsonValue, ToJson};
 use dlbench_nn::Network;
-use dlbench_quant::{quantize_checkpoint, quantize_trained, QuantConfig, QuantizedNetwork};
-use dlbench_tensor::Tensor;
+use dlbench_quant::{calibration, quantize_checkpoint, quantize_trained, QuantConfig};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -122,8 +121,8 @@ impl ModelSpec {
             }
             None => {
                 let model = match self.dtype {
-                    ModelDtype::Fp32 => ServingModel::Fp32(self.build()),
-                    ModelDtype::Int8 => ServingModel::Int8(quantize_trained(
+                    ModelDtype::Fp32 => self.build(),
+                    ModelDtype::Int8 => quantize_trained(
                         self.build(),
                         self.host,
                         &self.setting,
@@ -131,7 +130,7 @@ impl ModelSpec {
                         self.scale,
                         self.seed,
                         &QuantConfig::default(),
-                    )),
+                    ),
                 };
                 Ok(self.served(model))
             }
@@ -153,21 +152,18 @@ impl ModelSpec {
                 let mut model = self.build();
                 dlbench_nn::load_parameters(&mut model, &mut r)
                     .map_err(|e| ServeError::Checkpoint(e.to_string()))?;
-                ServingModel::Fp32(model)
+                model
             }
-            ModelDtype::Int8 => {
-                let q = quantize_checkpoint(
-                    self.host,
-                    &self.setting,
-                    self.dataset,
-                    self.scale,
-                    self.seed,
-                    r,
-                    &QuantConfig::default(),
-                )
-                .map_err(|e| ServeError::Checkpoint(e.to_string()))?;
-                ServingModel::Int8(q)
-            }
+            ModelDtype::Int8 => quantize_checkpoint(
+                self.host,
+                &self.setting,
+                self.dataset,
+                self.scale,
+                self.seed,
+                r,
+                &QuantConfig::default(),
+            )
+            .map_err(|e| ServeError::Checkpoint(e.to_string()))?,
         };
         Ok(self.served(model))
     }
@@ -176,82 +172,15 @@ impl ModelSpec {
         trainer::build_cell_model(self.host, &self.setting, self.dataset, self.scale, self.seed)
     }
 
-    fn served(&self, model: ServingModel) -> ServedModel {
-        let preprocessing =
-            trainer::effective_preprocessing(self.host, &self.setting, self.dataset);
+    fn served(&self, model: Network) -> ServedModel {
         // Mean subtraction needs the training-set statistics the cell
         // saw; the data seed is framework-independent, so regenerating
         // the training split reproduces them exactly.
-        let channel_means = if preprocessing == Preprocessing::MeanSubtract {
-            let (train, _) = trainer::generate_data(self.dataset, self.scale, self.seed);
-            Preprocessing::channel_means(&train)
-        } else {
-            Vec::new()
-        };
+        let (preprocessing, channel_means) =
+            trainer::cell_preprocessing(self.host, &self.setting, self.dataset, || {
+                trainer::generate_data(self.dataset, self.scale, self.seed).0
+            });
         ServedModel { spec: self.clone(), preprocessing, channel_means, model }
-    }
-}
-
-/// The network behind a served model, in whichever numeric
-/// representation the spec asked for. Both variants share the
-/// fixed-reduction-chain determinism contract, so predictions are
-/// bit-identical across batch sizes and thread counts either way.
-pub enum ServingModel {
-    /// Full-precision network (the training representation).
-    Fp32(Network),
-    /// Post-training-quantized int8 network.
-    Int8(QuantizedNetwork),
-}
-
-impl ServingModel {
-    /// Runs the model forward (inference expects `train = false`).
-    pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        match self {
-            ServingModel::Fp32(m) => m.forward(input, train),
-            ServingModel::Int8(m) => m.forward(input, train),
-        }
-    }
-
-    /// The representation this model runs in.
-    pub fn dtype(&self) -> ModelDtype {
-        match self {
-            ServingModel::Fp32(_) => ModelDtype::Fp32,
-            ServingModel::Int8(_) => ModelDtype::Int8,
-        }
-    }
-
-    /// Calibration statistics (`None` for fp32 models): per quantized
-    /// layer, the ranges observed on the calibration shard and the
-    /// clipped fraction — surfaced through `/metrics` and report facts.
-    pub fn calibration_json(&self) -> Option<JsonValue> {
-        match self {
-            ServingModel::Fp32(_) => None,
-            ServingModel::Int8(q) => Some(q.calibration_json()),
-        }
-    }
-
-    /// Mutable access to the fp32 network, when this is one.
-    pub fn as_fp32_mut(&mut self) -> Option<&mut Network> {
-        match self {
-            ServingModel::Fp32(m) => Some(m),
-            ServingModel::Int8(_) => None,
-        }
-    }
-
-    /// The quantized network, when this is one.
-    pub fn as_int8(&self) -> Option<&QuantizedNetwork> {
-        match self {
-            ServingModel::Fp32(_) => None,
-            ServingModel::Int8(q) => Some(q),
-        }
-    }
-
-    /// Mutable access to the quantized network, when this is one.
-    pub fn as_int8_mut(&mut self) -> Option<&mut QuantizedNetwork> {
-        match self {
-            ServingModel::Fp32(_) => None,
-            ServingModel::Int8(q) => Some(q),
-        }
     }
 }
 
@@ -265,8 +194,11 @@ pub struct ServedModel {
     pub preprocessing: Preprocessing,
     /// Per-channel means (empty unless mean subtraction is in effect).
     pub channel_means: Vec<f32>,
-    /// The network itself, in the spec's dtype.
-    pub model: ServingModel,
+    /// The network itself, in the spec's dtype (int8 layers for an
+    /// `Int8` spec). Fp32 and int8 share the fixed-reduction-chain
+    /// determinism contract, so predictions are bit-identical across
+    /// batch sizes and thread counts either way.
+    pub model: Network,
 }
 
 struct Entry {
@@ -295,8 +227,8 @@ impl ModelRegistry {
         if self.entries.contains_key(&name) {
             return Err(ServeError::BadInput(format!("model {name:?} already registered")));
         }
-        let dtype = served.model.dtype();
-        let calibration = served.model.calibration_json();
+        let dtype = served.spec.dtype;
+        let calibration = (dtype == ModelDtype::Int8).then(|| calibration(&served.model).to_json());
         let metrics = Arc::new(ServeMetrics::new());
         let batcher = MicroBatcher::spawn(served, config, Arc::clone(&metrics));
         self.entries.insert(name, Entry { batcher, metrics, dtype, calibration });

@@ -17,6 +17,9 @@ cargo clippy --workspace --all-targets --locked -- -D warnings
 echo "==> cargo build --release"
 cargo build --workspace --release --locked
 
+echo "==> perfbench build (the benchmark compiles against the public APIs)"
+cargo build --release --locked --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test"
 cargo test --workspace --locked -q
 

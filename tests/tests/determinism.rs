@@ -428,7 +428,7 @@ fn fleet_serving_is_bit_transparent_across_routing_replicas_and_scaling() {
         ModelSpec::own_default("m", FrameworkKind::TensorFlow, DatasetKind::Mnist, Scale::Tiny, 42);
     let mut served = spec.instantiate(None).unwrap();
     let mut checkpoint = Vec::new();
-    dlbench_nn::save_parameters(served.model.as_fp32_mut().unwrap(), &mut checkpoint).unwrap();
+    dlbench_nn::save_parameters(&mut served.model, &mut checkpoint).unwrap();
     let inputs = loadgen::sample_inputs(DatasetKind::Mnist, Scale::Tiny, 42, 12);
 
     // Reference: one forward per sample (batch size 1) offline.

@@ -17,7 +17,7 @@ use dlbench_fleet::{
     RoutingPolicy,
 };
 use dlbench_frameworks::{DefaultSetting, FrameworkKind, Scale};
-use dlbench_serve::{loadgen, BatchConfig, ModelSpec};
+use dlbench_serve::{loadgen, BatchConfig, ModelDtype, ModelSpec};
 use dlbench_tensor::Tensor;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -35,7 +35,7 @@ fn batch_config() -> BatchConfig {
 fn init_checkpoint(seed: u64) -> Vec<u8> {
     let mut served = spec(seed).instantiate(None).unwrap();
     let mut bytes = Vec::new();
-    dlbench_nn::save_parameters(served.model.as_fp32_mut().unwrap(), &mut bytes).unwrap();
+    dlbench_nn::save_parameters(&mut served.model, &mut bytes).unwrap();
     bytes
 }
 
@@ -75,7 +75,7 @@ fn health_gate_rejects_nan_poisoned_checkpoint_and_fleet_keeps_serving() {
         Promoter::new(Arc::clone(&fleet), HealthGateConfig { min_accuracy: 0.0, holdout: 32 });
 
     let mut served = spec(42).instantiate(None).unwrap();
-    let net = served.model.as_fp32_mut().unwrap();
+    let net = &mut served.model;
     net.params()[0].value.data_mut()[0] = f32::NAN;
     let mut poisoned = Vec::new();
     dlbench_nn::save_parameters(net, &mut poisoned).unwrap();
@@ -119,6 +119,26 @@ fn health_gate_rejects_accuracy_regressed_checkpoint() {
     };
     assert!(reason.contains("below the"), "unexpected reason: {reason}");
     assert_eq!(fleet.version(), 0, "rejected candidate must leave the fleet untouched");
+    assert!(fleet.predict(sample_inputs(1)[0].clone()).is_ok());
+}
+
+#[test]
+fn health_gate_verifies_and_promotes_int8_candidates() {
+    // An int8 fleet quantizes each fp32 candidate on load; the gate runs
+    // the same parameter verifier, finite-logits and accuracy checks on
+    // the quantized network it would serve.
+    let fleet = Arc::new(
+        Fleet::new(
+            spec(42).with_dtype(ModelDtype::Int8),
+            FleetConfig { replicas: 1, batch: batch_config(), ..Default::default() },
+            None,
+        )
+        .unwrap(),
+    );
+    let promoter =
+        Promoter::new(Arc::clone(&fleet), HealthGateConfig { min_accuracy: 0.0, holdout: 32 });
+    let outcome = promoter.offer(2, &init_checkpoint(43));
+    assert!(matches!(outcome, PromotionOutcome::Promoted { version: 1, .. }), "{outcome:?}");
     assert!(fleet.predict(sample_inputs(1)[0].clone()).is_ok());
 }
 

@@ -2,53 +2,15 @@
 //! quantized checkpoint round-trips, quantized serving, and the
 //! structured dtype-mismatch error on `--load`.
 
-use dlbench_data::{DatasetKind, Preprocessing};
+use dlbench_data::DatasetKind;
 use dlbench_frameworks::{trainer, DefaultSetting, FrameworkKind, Scale};
 use dlbench_integration_tests::TEST_SEED;
-use dlbench_quant::{quantize_checkpoint, quantize_trained, QuantConfig, QuantizedNetwork};
+use dlbench_json::ToJson;
+use dlbench_quant::{calibration, quantize_checkpoint, quantize_trained, to_entries, QuantConfig};
 use dlbench_serve::{
     loadgen, serve, BatchConfig, ModelDtype, ModelRegistry, ModelSpec, ServeError,
 };
 use std::time::Duration;
-
-/// Top-1 accuracy of a quantized network (mirrors `trainer::evaluate`,
-/// which only takes fp32 `Network`s).
-fn evaluate_quantized(
-    q: &mut QuantizedNetwork,
-    data: &dlbench_data::Dataset,
-    preprocessing: Preprocessing,
-    channel_means: &[f32],
-) -> f32 {
-    let mut correct = 0usize;
-    let n = data.len();
-    let mut i = 0;
-    while i < n {
-        let end = (i + 100).min(n);
-        let idx: Vec<usize> = (i..end).collect();
-        let (images, labels) = data.gather(&idx);
-        let x = preprocessing.apply(&images, channel_means);
-        let preds = q.forward(&x, false).argmax_rows();
-        correct += preds.iter().zip(&labels).filter(|(p, l)| p == l).count();
-        i = end;
-    }
-    correct as f32 / n.max(1) as f32
-}
-
-fn cell_preprocessing(
-    host: FrameworkKind,
-    setting: &DefaultSetting,
-    dataset: DatasetKind,
-    scale: Scale,
-) -> (Preprocessing, Vec<f32>) {
-    let (train, _) = trainer::generate_data(dataset, scale, TEST_SEED);
-    let preprocessing = trainer::effective_preprocessing(host, setting, dataset);
-    let channel_means = if preprocessing == Preprocessing::MeanSubtract {
-        Preprocessing::channel_means(&train)
-    } else {
-        Vec::new()
-    };
-    (preprocessing, channel_means)
-}
 
 #[test]
 fn int8_accuracy_drop_within_two_points_at_tiny() {
@@ -56,8 +18,9 @@ fn int8_accuracy_drop_within_two_points_at_tiny() {
     let dataset = DatasetKind::Mnist;
     let setting = DefaultSetting::new(host, dataset);
     let mut out = trainer::run_training(host, setting, dataset, Scale::Tiny, TEST_SEED);
-    let (_, test) = trainer::generate_data(dataset, Scale::Tiny, TEST_SEED);
-    let (preprocessing, channel_means) = cell_preprocessing(host, &setting, dataset, Scale::Tiny);
+    let (train, test) = trainer::generate_data(dataset, Scale::Tiny, TEST_SEED);
+    let (preprocessing, channel_means) =
+        trainer::cell_preprocessing(host, &setting, dataset, || train);
 
     let fp32_acc = trainer::evaluate(&mut out.model, &test, preprocessing, &channel_means);
     let mut q = quantize_trained(
@@ -69,7 +32,7 @@ fn int8_accuracy_drop_within_two_points_at_tiny() {
         TEST_SEED,
         &QuantConfig::default(),
     );
-    let int8_acc = evaluate_quantized(&mut q, &test, preprocessing, &channel_means);
+    let int8_acc = trainer::evaluate(&mut q, &test, preprocessing, &channel_means);
 
     let drop_pp = (fp32_acc - int8_acc) * 100.0;
     assert!(
@@ -99,10 +62,10 @@ fn v2_checkpoint_roundtrip_is_bit_identical() {
     let idx: Vec<usize> = (0..8).collect();
     let (images, _) = test.gather(&idx);
     let before: Vec<u32> = q.forward(&images, false).data().iter().map(|v| v.to_bits()).collect();
-    let calibration_before = q.calibration_json().pretty();
+    let calibration_before = calibration(&q).to_json().pretty();
 
     let mut bytes = Vec::new();
-    dlbench_nn::save_quantized(&q.to_entries(), &mut bytes).unwrap();
+    dlbench_nn::save_quantized(&to_entries(&mut q), &mut bytes).unwrap();
     assert_eq!(dlbench_nn::checkpoint_version(&bytes), Some('2'));
 
     let mut reloaded = quantize_checkpoint(
@@ -120,7 +83,7 @@ fn v2_checkpoint_roundtrip_is_bit_identical() {
     assert_eq!(before, after, "v2 reload must reproduce the exact quantized bits");
     assert_eq!(
         calibration_before,
-        reloaded.calibration_json().pretty(),
+        calibration(&reloaded).to_json().pretty(),
         "calibration statistics must survive the round-trip"
     );
 }
@@ -132,7 +95,7 @@ fn quantized_model_serves_predictions_and_reports_dtype() {
     let spec = ModelSpec::own_default("m", host, dataset, Scale::Tiny, TEST_SEED)
         .with_dtype(ModelDtype::Int8);
     let served = spec.instantiate(None).unwrap();
-    assert_eq!(served.model.dtype(), ModelDtype::Int8);
+    assert!(!calibration(&served.model).is_empty(), "an int8 spec must serve int8 layers");
 
     let mut registry = ModelRegistry::new();
     let config =
@@ -179,7 +142,7 @@ fn fp32_spec_rejects_quantized_checkpoint_with_structured_error() {
         &QuantConfig::default(),
     );
     let mut bytes = Vec::new();
-    dlbench_nn::save_quantized(&q.to_entries(), &mut bytes).unwrap();
+    dlbench_nn::save_quantized(&to_entries(&mut q), &mut bytes).unwrap();
 
     let spec = ModelSpec::own_default("m", host, dataset, Scale::Tiny, TEST_SEED);
     let err = match spec.instantiate_from(&mut bytes.as_slice()) {
@@ -211,14 +174,15 @@ fn int8_spec_adopts_v1_and_v2_checkpoints() {
 
     // v1 checkpoint: quantize-on-load.
     let mut from_v1 = spec.instantiate_from(&mut v1.as_slice()).unwrap();
-    let q1 = from_v1.model.as_int8_mut().expect("int8 spec must produce a quantized model");
+    let q1 = &mut from_v1.model;
+    assert!(!calibration(q1).is_empty(), "int8 spec must produce a quantized model");
 
     // v2 checkpoint: adopted bit-for-bit — same bits as the v1-derived
     // quantization it was saved from.
     let mut v2 = Vec::new();
-    dlbench_nn::save_quantized(&q1.to_entries(), &mut v2).unwrap();
+    dlbench_nn::save_quantized(&to_entries(q1), &mut v2).unwrap();
     let mut from_v2 = spec.instantiate_from(&mut v2.as_slice()).unwrap();
-    let q2 = from_v2.model.as_int8_mut().unwrap();
+    let q2 = &mut from_v2.model;
 
     let inputs = loadgen::sample_inputs(dataset, Scale::Tiny, TEST_SEED, 3);
     let (c, h, w) = spec.input_dims();
