@@ -5,12 +5,13 @@
 //! ```sh
 //! cargo bench --bench spec                                  # smoke spec
 //! cargo bench --bench spec -- examples/specs/paper_tables.json
+//! cargo bench --bench spec -- examples/specs/fleet_sweep.json  # sim-only, byte-stable
 //! ```
 //!
 //! Results land in `target/dlbench-reports/BENCH_spec.json`; cells
 //! persist under `target/dlbench-cache/` and are skipped on re-run.
 
-use dlbench_core::spec::{self, ExperimentSpec, RunOptions};
+use dlbench_spec::{self as spec, ExperimentSpec, RunOptions};
 use dlbench_trace::Stopwatch;
 
 fn main() {
@@ -18,13 +19,12 @@ fn main() {
         println!("spec: bench");
         return;
     }
-    // Bench binaries run with the package dir as cwd; anchor default
+    // Bench binaries run with the package dir as cwd; anchor relative
     // paths at the workspace root so invocations from anywhere agree.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let path = std::env::args()
-        .skip(1)
-        .find(|a| !a.starts_with('-'))
-        .unwrap_or_else(|| root.join("examples/specs/smoke.json").display().to_string());
+    let arg = std::env::args().skip(1).find(|a| !a.starts_with('-'));
+    let path =
+        root.join(arg.as_deref().unwrap_or("examples/specs/smoke.json")).display().to_string();
     let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
         Err(e) => {
@@ -40,7 +40,7 @@ fn main() {
 
     let opts = RunOptions { cache_dir: root.join("target/dlbench-cache"), force: false };
     let watch = Stopwatch::start();
-    let run = match spec::run_plan(&plan, &opts, None, None) {
+    let run = match spec::run_plan(&plan, &opts) {
         Ok(run) => run,
         Err(e) => {
             eprintln!("{path}: {e}");

@@ -56,12 +56,26 @@ impl ParsedArgs {
         self.get(key) == Some("true")
     }
 
-    /// Parses an option as `T`, with a default.
-    pub fn get_parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(raw) => raw.parse().map_err(|_| format!("invalid value for --{key}: {raw}")),
-        }
+    /// Parses an option as `T`, with a default. The error carries the
+    /// type's own parse message (for axis types, the accepted
+    /// spellings).
+    pub fn get_parsed<T>(&self, key: &str, default: T) -> Result<T, String>
+    where
+        T: std::str::FromStr,
+        T::Err: std::fmt::Display,
+    {
+        Ok(self.get_opt(key)?.unwrap_or(default))
+    }
+
+    /// Parses an option as `T` if present; errors as [`Self::get_parsed`].
+    pub fn get_opt<T>(&self, key: &str) -> Result<Option<T>, String>
+    where
+        T: std::str::FromStr,
+        T::Err: std::fmt::Display,
+    {
+        self.get(key)
+            .map(|raw| raw.parse().map_err(|e| format!("invalid value `{raw}` for --{key}: {e}")))
+            .transpose()
     }
 }
 
@@ -99,7 +113,8 @@ mod tests {
     #[test]
     fn invalid_numeric_value_is_an_error() {
         let p = parse_str("run --seed abc").unwrap();
-        assert!(p.get_parsed::<u64>("seed", 0).is_err());
+        let err = p.get_parsed::<u64>("seed", 0).unwrap_err();
+        assert!(err.starts_with("invalid value `abc` for --seed: "), "{err}");
     }
 
     #[test]

@@ -9,44 +9,11 @@ use dlbench_adversarial::{
 use dlbench_core::runner::BenchmarkRunner;
 use dlbench_core::ExperimentId;
 use dlbench_data::{DatasetKind, SynthCifar10, SynthMnist};
+use dlbench_fleet::RoutingPolicy;
 use dlbench_frameworks::{trainer, DefaultSetting, FrameworkKind, Scale};
+use dlbench_serve::ModelDtype;
 use dlbench_simtime::devices;
 use dlbench_tensor::SeededRng;
-
-pub(crate) fn parse_framework(raw: &str) -> Result<FrameworkKind, String> {
-    match raw.to_ascii_lowercase().as_str() {
-        "tf" | "tensorflow" => Ok(FrameworkKind::TensorFlow),
-        "caffe" => Ok(FrameworkKind::Caffe),
-        "torch" => Ok(FrameworkKind::Torch),
-        other => Err(format!("unknown framework `{other}` (tf|caffe|torch)")),
-    }
-}
-
-pub(crate) fn parse_dataset(raw: &str) -> Result<DatasetKind, String> {
-    match raw.to_ascii_lowercase().as_str() {
-        "mnist" => Ok(DatasetKind::Mnist),
-        "cifar10" | "cifar-10" | "cifar" => Ok(DatasetKind::Cifar10),
-        "imdb" => Ok(DatasetKind::Imdb),
-        other => Err(format!("unknown dataset `{other}` (mnist|cifar10|imdb)")),
-    }
-}
-
-pub(crate) fn parse_scale(raw: Option<&str>) -> Result<Scale, String> {
-    match raw.map(str::to_ascii_lowercase).as_deref() {
-        None | Some("tiny") => Ok(Scale::Tiny),
-        Some("small") => Ok(Scale::Small),
-        Some("paper") => Ok(Scale::Paper),
-        Some(other) => Err(format!("unknown scale `{other}` (tiny|small|paper)")),
-    }
-}
-
-pub(crate) fn parse_dtype(raw: Option<&str>) -> Result<dlbench_serve::ModelDtype, String> {
-    match raw {
-        None => Ok(dlbench_serve::ModelDtype::Fp32),
-        Some(s) => dlbench_serve::ModelDtype::parse(s)
-            .ok_or_else(|| format!("unknown quantize mode `{s}` (fp32|int8)")),
-    }
-}
 
 /// Applies `--threads N` and returns the worker count now in effect.
 ///
@@ -147,7 +114,7 @@ pub(crate) fn verify_mode(args: &ParsedArgs) -> Result<(bool, bool), String> {
 
 /// `dlbench run`
 pub fn run(args: &ParsedArgs) -> Result<(), String> {
-    let scale = parse_scale(args.get("scale"))?;
+    let scale = args.get_parsed("scale", Scale::default())?;
     let seed = args.get_parsed("seed", 42u64)?;
     let threads = configure_threads(args)?;
     let (verify, bless) = verify_mode(args)?;
@@ -214,17 +181,11 @@ pub fn run(args: &ParsedArgs) -> Result<(), String> {
 fn cell_from_args(
     args: &ParsedArgs,
 ) -> Result<(FrameworkKind, DefaultSetting, DatasetKind), String> {
-    let host = parse_framework(args.get("framework").unwrap_or("tf"))?;
-    let dataset = parse_dataset(args.get("dataset").unwrap_or("mnist"))?;
-    let owner = match args.get("setting-owner") {
-        Some(raw) => parse_framework(raw)?,
-        None => host,
-    };
-    let tuned_for = match args.get("setting-dataset") {
-        Some(raw) => parse_dataset(raw)?,
-        None => dataset,
-    };
-    Ok((host, DefaultSetting::new(owner, tuned_for), dataset))
+    let host = args.get_parsed("framework", FrameworkKind::TensorFlow)?;
+    let dataset = args.get_parsed("dataset", DatasetKind::Mnist)?;
+    let owner = args.get_opt("setting-owner")?;
+    let tuned_for = args.get_opt("setting-dataset")?;
+    Ok((host, DefaultSetting::for_cell(host, dataset, owner, tuned_for)?, dataset))
 }
 
 /// Epoch-boundary checkpointing for `train --checkpoint-every N`:
@@ -251,7 +212,7 @@ impl dlbench_frameworks::TrainGuard for CheckpointGuard {
 
 /// `dlbench train`
 pub fn train(args: &ParsedArgs) -> Result<(), String> {
-    let scale = parse_scale(args.get("scale"))?;
+    let scale = args.get_parsed("scale", Scale::default())?;
     let seed = args.get_parsed("seed", 42u64)?;
     configure_threads(args)?;
     let trace = trace_start(args);
@@ -332,7 +293,7 @@ pub fn quantize(args: &ParsedArgs) -> Result<(), String> {
     use dlbench_quant::{
         calibration, cost_split, quantize_checkpoint, quantize_trained, to_entries, QuantConfig,
     };
-    let scale = parse_scale(args.get("scale"))?;
+    let scale = args.get_parsed("scale", Scale::default())?;
     let seed = args.get_parsed("seed", 42u64)?;
     configure_threads(args)?;
     let trace = trace_start(args);
@@ -469,7 +430,7 @@ pub fn quantize(args: &ParsedArgs) -> Result<(), String> {
 
 /// `dlbench attack`
 pub fn attack(args: &ParsedArgs) -> Result<(), String> {
-    let scale = parse_scale(args.get("scale"))?;
+    let scale = args.get_parsed("scale", Scale::default())?;
     let seed = args.get_parsed("seed", 42u64)?;
     configure_threads(args)?;
     let epsilon = args.get_parsed("epsilon", 0.15f32)?;
@@ -589,7 +550,7 @@ fn print_rates(title: &str, rates: &[f32]) {
 
 /// `dlbench ablate`
 pub fn ablate(args: &ParsedArgs) -> Result<(), String> {
-    let scale = parse_scale(args.get("scale"))?;
+    let scale = args.get_parsed("scale", Scale::default())?;
     let seed = args.get_parsed("seed", 42u64)?;
     configure_threads(args)?;
     let report = dlbench_core::extensions::regularizer_robustness(scale, seed);
@@ -599,7 +560,7 @@ pub fn ablate(args: &ParsedArgs) -> Result<(), String> {
 
 /// `dlbench stats`
 pub fn stats(args: &ParsedArgs) -> Result<(), String> {
-    let dataset = parse_dataset(args.get("dataset").unwrap_or("mnist"))?;
+    let dataset = args.get_parsed("dataset", DatasetKind::Mnist)?;
     let size = args.get_parsed("size", dataset.native_size())?;
     let samples = args.get_parsed("samples", 512usize)?;
     let seed = args.get_parsed("seed", 42u64)?;
@@ -637,12 +598,12 @@ fn batch_config_from_args(args: &ParsedArgs) -> Result<dlbench_serve::BatchConfi
 /// `dlbench serve`
 pub fn serve(args: &ParsedArgs) -> Result<(), String> {
     use dlbench_serve::{ModelRegistry, ModelSpec};
-    let scale = parse_scale(args.get("scale"))?;
+    let scale = args.get_parsed("scale", Scale::default())?;
     let seed = args.get_parsed("seed", 42u64)?;
     configure_threads(args)?;
     let port = args.get_parsed("port", 8080u16)?;
     let config = batch_config_from_args(args)?;
-    let dtype = parse_dtype(args.get("quantize"))?;
+    let dtype = args.get_parsed("quantize", ModelDtype::Fp32)?;
     let trace = trace_start(args);
 
     let mut registry = ModelRegistry::new();
@@ -661,10 +622,11 @@ pub fn serve(args: &ParsedArgs) -> Result<(), String> {
                 format!("model spec `{raw}` must be NAME=FRAMEWORK:DATASET[:CHECKPOINT]")
             })?;
             let mut parts = rest.splitn(3, ':');
-            let host = parse_framework(parts.next().unwrap_or(""))?;
-            let dataset = parse_dataset(
-                parts.next().ok_or_else(|| format!("model spec `{raw}` missing dataset"))?,
-            )?;
+            let host: FrameworkKind = parts.next().unwrap_or("").parse()?;
+            let dataset: DatasetKind = parts
+                .next()
+                .ok_or_else(|| format!("model spec `{raw}` missing dataset"))?
+                .parse()?;
             let checkpoint = parts.next().map(std::path::Path::new);
             let spec = ModelSpec::own_default(name, host, dataset, scale, seed).with_dtype(dtype);
             let served = spec.instantiate(checkpoint).map_err(|e| e.to_string())?;
@@ -693,7 +655,7 @@ pub fn serve(args: &ParsedArgs) -> Result<(), String> {
 /// `dlbench loadgen`
 pub fn loadgen(args: &ParsedArgs) -> Result<(), String> {
     use dlbench_serve::loadgen::{self, LoadConfig, LoadMode};
-    let scale = parse_scale(args.get("scale"))?;
+    let scale = args.get_parsed("scale", Scale::default())?;
     let seed = args.get_parsed("seed", 42u64)?;
     configure_threads(args)?;
 
@@ -722,7 +684,7 @@ pub fn loadgen(args: &ParsedArgs) -> Result<(), String> {
     let addr: std::net::SocketAddr =
         url.parse().map_err(|_| format!("bad --url `{url}` (expected HOST:PORT)"))?;
     let model = args.get("model").unwrap_or("default");
-    let dataset = parse_dataset(args.get("dataset").unwrap_or("mnist"))?;
+    let dataset = args.get_parsed("dataset", DatasetKind::Mnist)?;
     let requests = args.get_parsed("requests", 64usize)?;
     let mode = match args.get("mode").unwrap_or("closed") {
         "closed" => LoadMode::Closed { concurrency: args.get_parsed("concurrency", 4usize)? },
@@ -747,17 +709,12 @@ pub fn loadgen(args: &ParsedArgs) -> Result<(), String> {
     Ok(())
 }
 
-fn parse_routing(raw: &str) -> Result<dlbench_fleet::RoutingPolicy, String> {
-    dlbench_fleet::RoutingPolicy::parse(raw)
-        .ok_or_else(|| format!("unknown routing policy `{raw}` (rr|least-queue|batch-aware)"))
-}
-
 /// `dlbench fleet --sweep`: arrival rates × routing policies ×
 /// autoscaling through the simtime fleet simulator, written as
 /// `BENCH_fleet.json`. Pure sim-time, so the document is byte-identical
 /// across runs (check.sh enforces this).
 fn fleet_sweep(args: &ParsedArgs) -> Result<(), String> {
-    use dlbench_fleet::{fleet_sweep_doc, RoutingPolicy, SimFleetConfig};
+    use dlbench_fleet::{fleet_sweep_doc, SimFleetConfig};
     let rates: Vec<f64> = args
         .get("rates")
         .unwrap_or("1000,50000,1000000")
@@ -766,7 +723,7 @@ fn fleet_sweep(args: &ParsedArgs) -> Result<(), String> {
         .collect::<Result<_, _>>()?;
     let policies: Vec<RoutingPolicy> = match args.get("routing") {
         None => RoutingPolicy::ALL.to_vec(),
-        Some(raw) => raw.split(',').map(|s| parse_routing(s.trim())).collect::<Result<_, _>>()?,
+        Some(raw) => raw.split(',').map(str::parse).collect::<Result<_, _>>()?,
     };
     let autoscale_modes: &[bool] = match args.get("autoscale").unwrap_or("both") {
         "both" => &[false, true],
@@ -775,14 +732,14 @@ fn fleet_sweep(args: &ParsedArgs) -> Result<(), String> {
         other => return Err(format!("unknown --autoscale `{other}` (both|on|off)")),
     };
     let mut base = SimFleetConfig::new(0.0, args.get_parsed("requests", 2_000usize)?);
-    base.host = parse_framework(args.get("framework").unwrap_or("tf"))?;
-    base.dataset = parse_dataset(args.get("dataset").unwrap_or("mnist"))?;
-    base.scale = parse_scale(args.get("scale"))?;
+    base.host = args.get_parsed("framework", FrameworkKind::TensorFlow)?;
+    base.dataset = args.get_parsed("dataset", DatasetKind::Mnist)?;
+    base.scale = args.get_parsed("scale", Scale::default())?;
     base.seed = args.get_parsed("seed", 42u64)?;
     base.replicas = args.get_parsed("replicas", 2usize)?.max(1);
     base.max_batch = args.get_parsed("max-batch", 8usize)?.max(1);
     base.target_p99_ms = args.get_parsed("target-p99-ms", 20.0f64)?;
-    base.dtype = parse_dtype(args.get("quantize"))?;
+    base.dtype = args.get_parsed("quantize", ModelDtype::Fp32)?;
     let doc = fleet_sweep_doc(&base, &rates, &policies, autoscale_modes);
     let out = args.get("out").unwrap_or("target/dlbench-reports/BENCH_fleet.json");
     write_text_file(out, &(doc.pretty() + "\n"))?;
@@ -802,18 +759,18 @@ pub fn fleet(args: &ParsedArgs) -> Result<(), String> {
     if args.flag("sweep") {
         return fleet_sweep(args);
     }
-    let scale = parse_scale(args.get("scale"))?;
+    let scale = args.get_parsed("scale", Scale::default())?;
     let seed = args.get_parsed("seed", 42u64)?;
     configure_threads(args)?;
     let trace = trace_start(args);
     let (host, setting, dataset) = cell_from_args(args)?;
     let config = FleetConfig {
         replicas: args.get_parsed("replicas", 2usize)?.max(1),
-        policy: parse_routing(args.get("routing").unwrap_or("least-queue"))?,
+        policy: args.get_parsed("routing", RoutingPolicy::LeastQueue)?,
         batch: batch_config_from_args(args)?,
         target_p99_ms: args.get_parsed("target-p99-ms", 50.0f64)?,
     };
-    let dtype = parse_dtype(args.get("quantize"))?;
+    let dtype = args.get_parsed("quantize", ModelDtype::Fp32)?;
     let spec = ModelSpec { name: "default".into(), host, setting, dataset, scale, seed, dtype };
     let concurrency = args.get_parsed("concurrency", 4usize)?.max(1);
     let every = args.get_parsed("promote-every", 1usize)?.max(1);
@@ -1017,10 +974,10 @@ fn validate_dist_trace(events: &[dlbench_trace::Event]) -> Result<(), String> {
 /// `dlbench profile`
 pub fn profile(args: &ParsedArgs) -> Result<(), String> {
     use dlbench_trace::{ChromeTraceDoc, ProfileReport, TraceConfig};
-    let scale = parse_scale(args.get("scale"))?;
+    let scale = args.get_parsed("scale", Scale::default())?;
     let seed = args.get_parsed("seed", 42u64)?;
     configure_threads(args)?;
-    let dataset = parse_dataset(args.get("dataset").unwrap_or("mnist"))?;
+    let dataset = args.get_parsed("dataset", DatasetKind::Mnist)?;
     let out = args.get("trace").unwrap_or("target/dlbench-reports/TRACE_profile.json").to_string();
     let out_dir = args.get("out").unwrap_or("target/dlbench-reports").to_string();
     let mut doc = ChromeTraceDoc::new();
@@ -1194,7 +1151,7 @@ fn parse_worker_list(raw: &str) -> Result<Vec<usize>, String> {
 /// `dlbench dist-train`
 pub fn dist_train(args: &ParsedArgs) -> Result<(), String> {
     use dlbench_dist::{run_dist_training, scaling_sweep, DistConfig, FaultPlan, Strategy};
-    let scale = parse_scale(args.get("scale"))?;
+    let scale = args.get_parsed("scale", Scale::default())?;
     let seed = args.get_parsed("seed", 42u64)?;
     configure_threads(args)?;
     let max_steps = match args.get_parsed("max-steps", 0usize)? {
@@ -1206,9 +1163,7 @@ pub fn dist_train(args: &ParsedArgs) -> Result<(), String> {
         let workers = parse_worker_list(args.get("workers").unwrap_or("1,2,4,8"))?;
         let strategies: Vec<Strategy> = match args.get("strategy") {
             None => Strategy::ALL.to_vec(),
-            Some(raw) => {
-                raw.split(',').map(|s| Strategy::parse(s.trim())).collect::<Result<_, _>>()?
-            }
+            Some(raw) => raw.split(',').map(str::parse).collect::<Result<_, _>>()?,
         };
         println!(
             "dist scaling sweep: workers {workers:?}, strategies [{}], scale {scale:?}, seed {seed}",
@@ -1223,7 +1178,7 @@ pub fn dist_train(args: &ParsedArgs) -> Result<(), String> {
 
     let (host, setting, dataset) = cell_from_args(args)?;
     let workers = args.get_parsed("workers", 2usize)?;
-    let strategy = Strategy::parse(args.get("strategy").unwrap_or("ps"))?;
+    let strategy = args.get_parsed("strategy", Strategy::ParameterServer)?;
     let mut faults = FaultPlan::default();
     if let Some(raw) = args.get("kill") {
         faults.kills = parse_kills(raw)?;
@@ -1266,88 +1221,9 @@ pub fn dist_train(args: &ParsedArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// Executes a spec's serve cells against the real HTTP tier: the
-/// model serves on an ephemeral port, the open-loop generator drives
-/// it, and the load report becomes the cell result.
-struct CliServeBackend;
-
-impl dlbench_core::ServeBackend for CliServeBackend {
-    fn run_serve(
-        &self,
-        cell: &dlbench_core::spec::ServeCellSpec,
-    ) -> Result<dlbench_json::JsonValue, String> {
-        use dlbench_json::ToJson;
-        use dlbench_serve::loadgen::{self, LoadConfig, LoadMode};
-        use dlbench_serve::{BatchConfig, ModelRegistry, ModelSpec};
-        let dtype = dlbench_serve::ModelDtype::parse(&cell.quantize)
-            .ok_or_else(|| format!("unknown quantize mode `{}` (fp32|int8)", cell.quantize))?;
-        let spec =
-            ModelSpec::own_default("default", cell.host, cell.dataset, cell.scale, cell.seed)
-                .with_dtype(dtype);
-        let served = spec.instantiate(None).map_err(|e| e.to_string())?;
-        let calibration = (dtype == dlbench_serve::ModelDtype::Int8)
-            .then(|| dlbench_quant::calibration(&served.model).to_json());
-        let config = BatchConfig {
-            max_batch: cell.max_batch,
-            max_wait: std::time::Duration::from_millis(cell.deadline_ms.round() as u64),
-            ..BatchConfig::default()
-        };
-        let mut registry = ModelRegistry::new();
-        registry.register(served, config).map_err(|e| e.to_string())?;
-        let server = dlbench_serve::serve(registry, "127.0.0.1:0")
-            .map_err(|e| format!("cannot bind an ephemeral port: {e}"))?;
-        let inputs = loadgen::sample_inputs(cell.dataset, cell.scale, cell.seed, 16);
-        let report = loadgen::run(
-            server.addr(),
-            "default",
-            &inputs,
-            &LoadConfig {
-                mode: LoadMode::Open { rate_rps: cell.rate_rps },
-                requests: cell.requests,
-            },
-        );
-        server.shutdown();
-        // Lead the result with the model facts the load report cannot
-        // know: the serving dtype and (for int8) the calibration stats.
-        let mut members = vec![("dtype".to_string(), dlbench_json::JsonValue::from(dtype.name()))];
-        if let Some(stats) = calibration {
-            members.push(("calibration".to_string(), stats));
-        }
-        if let dlbench_json::JsonValue::Object(rest) = report.to_json() {
-            members.extend(rest);
-        }
-        Ok(dlbench_json::JsonValue::Object(members))
-    }
-}
-
-/// Executes a spec's fleet cells through the simtime fleet simulator:
-/// pure sim-time, so cached and fresh results agree byte-for-byte.
-struct CliFleetBackend;
-
-impl dlbench_core::FleetBackend for CliFleetBackend {
-    fn run_fleet(
-        &self,
-        cell: &dlbench_core::spec::FleetCellSpec,
-    ) -> Result<dlbench_json::JsonValue, String> {
-        use dlbench_json::ToJson;
-        let mut cfg = dlbench_fleet::SimFleetConfig::new(cell.rate_rps, cell.requests);
-        cfg.host = cell.host;
-        cfg.dataset = cell.dataset;
-        cfg.scale = cell.scale;
-        cfg.seed = cell.seed;
-        cfg.policy = parse_routing(&cell.routing)?;
-        cfg.replicas = cell.replicas;
-        cfg.max_batch = cell.max_batch;
-        cfg.target_p99_ms = cell.target_p99_ms;
-        cfg.dtype = dlbench_serve::ModelDtype::parse(&cell.quantize)
-            .ok_or_else(|| format!("unknown quantize mode `{}` (fp32|int8)", cell.quantize))?;
-        Ok(dlbench_fleet::simulate_fleet(&cfg).to_json())
-    }
-}
-
 /// `dlbench run-spec`
 pub fn run_spec(args: &ParsedArgs) -> Result<(), String> {
-    use dlbench_core::spec::{self, RunOptions};
+    use dlbench_spec::{self as spec, RunOptions};
     let path =
         args.positionals.first().ok_or("run-spec needs a spec file (see examples/specs/)")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -1362,7 +1238,7 @@ pub fn run_spec(args: &ParsedArgs) -> Result<(), String> {
     let cache_dir = args.get("cache-dir").unwrap_or("target/dlbench-cache");
     let opts = RunOptions { cache_dir: cache_dir.into(), force: args.flag("force") };
     let trace = trace_start(args);
-    let run = spec::run_plan(&plan, &opts, Some(&CliServeBackend), Some(&CliFleetBackend))?;
+    let run = spec::run_plan(&plan, &opts)?;
     trace_finish(trace)?;
     for report in spec::aggregate_reports(&run) {
         println!("{}", report.render());
@@ -1385,29 +1261,6 @@ pub fn run_spec(args: &ParsedArgs) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn framework_parsing() {
-        assert_eq!(parse_framework("tf").unwrap(), FrameworkKind::TensorFlow);
-        assert_eq!(parse_framework("TensorFlow").unwrap(), FrameworkKind::TensorFlow);
-        assert_eq!(parse_framework("caffe").unwrap(), FrameworkKind::Caffe);
-        assert_eq!(parse_framework("Torch").unwrap(), FrameworkKind::Torch);
-        assert!(parse_framework("mxnet").is_err());
-    }
-
-    #[test]
-    fn dataset_parsing() {
-        assert_eq!(parse_dataset("mnist").unwrap(), DatasetKind::Mnist);
-        assert_eq!(parse_dataset("CIFAR-10").unwrap(), DatasetKind::Cifar10);
-        assert!(parse_dataset("imagenet").is_err());
-    }
-
-    #[test]
-    fn scale_parsing_defaults_to_tiny() {
-        assert_eq!(parse_scale(None).unwrap(), Scale::Tiny);
-        assert_eq!(parse_scale(Some("paper")).unwrap(), Scale::Paper);
-        assert!(parse_scale(Some("huge")).is_err());
-    }
 
     #[test]
     fn cell_from_args_defaults_setting_to_host_and_dataset() {
@@ -1488,5 +1341,24 @@ mod tests {
         assert_eq!(dataset, DatasetKind::Mnist);
         assert_eq!(setting.owner, FrameworkKind::Caffe);
         assert_eq!(setting.tuned_for, DatasetKind::Cifar10);
+    }
+
+    #[test]
+    fn cell_from_args_rejects_cross_modality_transplants() {
+        // An image-tuned setting cannot instantiate on token sequences
+        // and vice versa; both directions fail with the spec's error
+        // instead of training garbage or panicking in model build.
+        for (dataset, setting_dataset) in [("imdb", "mnist"), ("mnist", "imdb")] {
+            let parsed = crate::args::parse(&[
+                "train".into(),
+                "--dataset".into(),
+                dataset.into(),
+                "--setting-dataset".into(),
+                setting_dataset.into(),
+            ])
+            .unwrap();
+            let err = cell_from_args(&parsed).unwrap_err();
+            assert!(err.contains("different input shapes"), "{dataset}<-{setting_dataset}: {err}");
+        }
     }
 }

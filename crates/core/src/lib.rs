@@ -17,6 +17,10 @@
 //!   harnesses can run "everything the paper reports".
 //! * [`report`] — paper-style ASCII rendering plus JSON export.
 //!
+//! Declarative experiment specs (axis grids expanded into cached,
+//! content-hashed cells) live one layer up, in `dlbench-spec`, which can
+//! reach the serving and fleet engines that depend on this crate.
+//!
 //! ## Example
 //!
 //! ```no_run
@@ -39,11 +43,9 @@ pub mod metrics;
 pub mod registry;
 pub mod report;
 pub mod runner;
-pub mod spec;
 
 pub use dist::dist_report;
 pub use metrics::{CellMetrics, Histogram, HistogramSummary};
 pub use registry::ExperimentId;
 pub use report::ExperimentReport;
 pub use runner::BenchmarkRunner;
-pub use spec::{ExperimentSpec, FleetBackend, Plan, ServeBackend, SpecRun};

@@ -68,6 +68,31 @@ impl DatasetKind {
             DatasetKind::Imdb => "IMDB",
         }
     }
+
+    /// Canonical lowercase spelling used in spec files, cell hashes and
+    /// the CLI (`mnist`, `cifar10`, `imdb`).
+    pub fn key(&self) -> &'static str {
+        match self {
+            DatasetKind::Mnist => "mnist",
+            DatasetKind::Cifar10 => "cifar10",
+            DatasetKind::Imdb => "imdb",
+        }
+    }
+}
+
+impl std::str::FromStr for DatasetKind {
+    type Err = String;
+
+    /// Parses `mnist`, `cifar10`/`cifar-10`/`cifar` or `imdb`,
+    /// case-insensitively and ignoring surrounding whitespace.
+    fn from_str(raw: &str) -> Result<Self, String> {
+        match raw.trim().to_ascii_lowercase().as_str() {
+            "mnist" => Ok(DatasetKind::Mnist),
+            "cifar10" | "cifar-10" | "cifar" => Ok(DatasetKind::Cifar10),
+            "imdb" => Ok(DatasetKind::Imdb),
+            _ => Err(format!("unknown dataset `{}` (expected mnist|cifar10|imdb)", raw.trim())),
+        }
+    }
 }
 
 /// A structured reason a dataset could not be constructed. Token
@@ -299,6 +324,19 @@ mod tests {
     fn toy_seq() -> Dataset {
         let tokens = Tensor::from_vec(&[2, 1, 3, 1], vec![0.0, 2.0, 1.0, 3.0, 3.0, 0.0]).unwrap();
         Dataset::sequences(DatasetKind::Imdb, tokens, vec![0, 1], 2, 4).unwrap()
+    }
+
+    #[test]
+    fn dataset_parsing() {
+        let parse = |s: &str| s.parse::<DatasetKind>();
+        assert_eq!(parse("mnist").unwrap(), DatasetKind::Mnist);
+        assert_eq!(parse("CIFAR-10").unwrap(), DatasetKind::Cifar10);
+        assert_eq!(parse("cifar").unwrap(), DatasetKind::Cifar10);
+        assert_eq!(parse(" IMDB ").unwrap(), DatasetKind::Imdb);
+        for ds in [DatasetKind::Mnist, DatasetKind::Cifar10, DatasetKind::Imdb] {
+            assert_eq!(parse(ds.key()).unwrap(), ds);
+        }
+        assert!(parse("imagenet").is_err());
     }
 
     #[test]

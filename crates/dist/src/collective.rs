@@ -29,15 +29,6 @@ impl Strategy {
     /// Every strategy, for sweeps.
     pub const ALL: [Strategy; 2] = [Strategy::ParameterServer, Strategy::Ring];
 
-    /// Parses a CLI strategy name.
-    pub fn parse(s: &str) -> Result<Strategy, String> {
-        match s {
-            "ps" | "parameter-server" => Ok(Strategy::ParameterServer),
-            "ring" => Ok(Strategy::Ring),
-            other => Err(format!("unknown strategy '{other}' (expected: ps, ring)")),
-        }
-    }
-
     /// Canonical short name (`ps`, `ring`).
     pub fn name(&self) -> &'static str {
         match self {
@@ -51,6 +42,20 @@ impl Strategy {
         match self {
             Strategy::ParameterServer => Box::new(ParameterServer),
             Strategy::Ring => Box::new(RingAllReduce),
+        }
+    }
+}
+
+impl std::str::FromStr for Strategy {
+    type Err = String;
+
+    /// Parses `ps`/`parameter-server` or `ring`, case-insensitively and
+    /// ignoring surrounding whitespace.
+    fn from_str(raw: &str) -> Result<Self, String> {
+        match raw.trim().to_ascii_lowercase().as_str() {
+            "ps" | "parameter-server" => Ok(Strategy::ParameterServer),
+            "ring" => Ok(Strategy::Ring),
+            _ => Err(format!("unknown strategy `{}` (expected ps|ring)", raw.trim())),
         }
     }
 }
@@ -258,10 +263,12 @@ mod tests {
     #[test]
     fn strategy_parse_roundtrip() {
         for s in Strategy::ALL {
-            assert_eq!(Strategy::parse(s.name()).unwrap(), s);
+            assert_eq!(s.name().parse::<Strategy>().unwrap(), s);
         }
-        assert_eq!(Strategy::parse("parameter-server").unwrap(), Strategy::ParameterServer);
-        assert!(Strategy::parse("gossip").is_err());
+        assert_eq!("parameter-server".parse::<Strategy>().unwrap(), Strategy::ParameterServer);
+        assert_eq!("Ring".parse::<Strategy>().unwrap(), Strategy::Ring);
+        assert_eq!(" PS ".parse::<Strategy>().unwrap(), Strategy::ParameterServer);
+        assert!("gossip".parse::<Strategy>().is_err());
     }
 
     #[test]

@@ -30,17 +30,6 @@ impl RoutingPolicy {
     pub const ALL: [RoutingPolicy; 3] =
         [RoutingPolicy::RoundRobin, RoutingPolicy::LeastQueue, RoutingPolicy::BatchAware];
 
-    /// Parses a policy name (`rr`/`round-robin`, `least-queue`/`lq`,
-    /// `batch-aware`/`ba`), case-insensitively.
-    pub fn parse(raw: &str) -> Option<RoutingPolicy> {
-        match raw.trim().to_ascii_lowercase().as_str() {
-            "rr" | "round-robin" | "roundrobin" => Some(RoutingPolicy::RoundRobin),
-            "least-queue" | "leastqueue" | "lq" => Some(RoutingPolicy::LeastQueue),
-            "batch-aware" | "batchaware" | "ba" => Some(RoutingPolicy::BatchAware),
-            _ => None,
-        }
-    }
-
     /// Stable lowercase label used in reports and spec files.
     pub fn name(&self) -> &'static str {
         match self {
@@ -54,6 +43,25 @@ impl RoutingPolicy {
 impl std::fmt::Display for RoutingPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+impl std::str::FromStr for RoutingPolicy {
+    type Err = String;
+
+    /// Parses a policy name (`rr`/`round-robin`/`roundrobin`,
+    /// `least-queue`/`leastqueue`/`lq`, `batch-aware`/`batchaware`/`ba`),
+    /// case-insensitively and ignoring surrounding whitespace.
+    fn from_str(raw: &str) -> Result<Self, String> {
+        match raw.trim().to_ascii_lowercase().as_str() {
+            "rr" | "round-robin" | "roundrobin" => Ok(RoutingPolicy::RoundRobin),
+            "least-queue" | "leastqueue" | "lq" => Ok(RoutingPolicy::LeastQueue),
+            "batch-aware" | "batchaware" | "ba" => Ok(RoutingPolicy::BatchAware),
+            _ => Err(format!(
+                "unknown routing policy `{}` (expected rr|least-queue|batch-aware)",
+                raw.trim()
+            )),
+        }
     }
 }
 
@@ -146,12 +154,16 @@ mod tests {
 
     #[test]
     fn parse_accepts_aliases_and_rejects_junk() {
-        assert_eq!(RoutingPolicy::parse("RR"), Some(RoutingPolicy::RoundRobin));
-        assert_eq!(RoutingPolicy::parse(" round-robin "), Some(RoutingPolicy::RoundRobin));
-        assert_eq!(RoutingPolicy::parse("least-queue"), Some(RoutingPolicy::LeastQueue));
-        assert_eq!(RoutingPolicy::parse("lq"), Some(RoutingPolicy::LeastQueue));
-        assert_eq!(RoutingPolicy::parse("batch-aware"), Some(RoutingPolicy::BatchAware));
-        assert_eq!(RoutingPolicy::parse("random"), None);
+        let parse = |s: &str| s.parse::<RoutingPolicy>();
+        assert_eq!(parse("RR"), Ok(RoutingPolicy::RoundRobin));
+        assert_eq!(parse(" round-robin "), Ok(RoutingPolicy::RoundRobin));
+        assert_eq!(parse("RoundRobin"), Ok(RoutingPolicy::RoundRobin));
+        assert_eq!(parse("least-queue"), Ok(RoutingPolicy::LeastQueue));
+        assert_eq!(parse("lq"), Ok(RoutingPolicy::LeastQueue));
+        assert_eq!(parse("LeastQueue"), Ok(RoutingPolicy::LeastQueue));
+        assert_eq!(parse("batch-aware"), Ok(RoutingPolicy::BatchAware));
+        assert_eq!(parse(" BA "), Ok(RoutingPolicy::BatchAware));
+        assert!(parse("random").unwrap_err().contains("unknown routing policy `random`"));
     }
 
     #[test]

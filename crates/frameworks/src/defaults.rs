@@ -405,6 +405,32 @@ impl DefaultSetting {
         Self { owner, tuned_for }
     }
 
+    /// Resolves the setting a `host` cell on `dataset` trains under:
+    /// `owner` and `tuned_for` default to the host and the dataset (its
+    /// own default). Text and image settings take different input
+    /// shapes (token sequences vs pixel grids), so a transplant across
+    /// the modality boundary cannot instantiate; it is rejected here
+    /// with the fix instead of panicking during model construction.
+    pub fn for_cell(
+        host: FrameworkKind,
+        dataset: DatasetKind,
+        owner: Option<FrameworkKind>,
+        tuned_for: Option<DatasetKind>,
+    ) -> Result<Self, String> {
+        let tuned_for = tuned_for.unwrap_or(dataset);
+        if tuned_for.is_text() != dataset.is_text() {
+            return Err(format!(
+                "setting_dataset `{}` cannot be applied to dataset `{}`: text and image \
+                 architectures take different input shapes; set `setting_dataset` to \
+                 `{}` or change `dataset`",
+                tuned_for.key(),
+                dataset.key(),
+                dataset.key(),
+            ));
+        }
+        Ok(Self::new(owner.unwrap_or(host), tuned_for))
+    }
+
     /// The training hyperparameters of this setting.
     pub fn training(&self) -> TrainingConfig {
         training_defaults(self.owner, self.tuned_for)

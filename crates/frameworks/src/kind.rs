@@ -31,6 +31,16 @@ impl FrameworkKind {
         }
     }
 
+    /// Canonical lowercase spelling used in spec files, cell hashes and
+    /// the CLI (`tf`, `caffe`, `torch`).
+    pub fn key(&self) -> &'static str {
+        match self {
+            FrameworkKind::TensorFlow => "tf",
+            FrameworkKind::Caffe => "caffe",
+            FrameworkKind::Torch => "torch",
+        }
+    }
+
     /// Abbreviation used in the paper's figures ("TF").
     pub fn abbrev(&self) -> &'static str {
         match self {
@@ -114,6 +124,21 @@ impl std::fmt::Display for FrameworkKind {
     }
 }
 
+impl std::str::FromStr for FrameworkKind {
+    type Err = String;
+
+    /// Parses `tf`/`tensorflow`, `caffe` or `torch`, case-insensitively
+    /// and ignoring surrounding whitespace.
+    fn from_str(raw: &str) -> Result<Self, String> {
+        match raw.trim().to_ascii_lowercase().as_str() {
+            "tf" | "tensorflow" => Ok(FrameworkKind::TensorFlow),
+            "caffe" => Ok(FrameworkKind::Caffe),
+            "torch" => Ok(FrameworkKind::Torch),
+            _ => Err(format!("unknown framework `{}` (expected tf|caffe|torch)", raw.trim())),
+        }
+    }
+}
+
 /// Static framework properties (paper Table I).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrameworkMeta {
@@ -162,5 +187,22 @@ mod tests {
             FrameworkKind::Torch.execution_profile().name
         );
         assert_eq!(FrameworkKind::TensorFlow.abbrev(), "TF");
+    }
+
+    #[test]
+    fn framework_parsing() {
+        let parse = |s: &str| s.parse::<FrameworkKind>();
+        assert_eq!(parse("tf").unwrap(), FrameworkKind::TensorFlow);
+        assert_eq!(parse("TensorFlow").unwrap(), FrameworkKind::TensorFlow);
+        assert_eq!(parse("caffe").unwrap(), FrameworkKind::Caffe);
+        assert_eq!(parse("Torch").unwrap(), FrameworkKind::Torch);
+        assert_eq!(parse(" TF ").unwrap(), FrameworkKind::TensorFlow);
+        for fw in FrameworkKind::ALL {
+            assert_eq!(parse(fw.key()).unwrap(), fw);
+        }
+        assert_eq!(
+            parse("mxnet").unwrap_err(),
+            "unknown framework `mxnet` (expected tf|caffe|torch)"
+        );
     }
 }

@@ -11,9 +11,14 @@
 use dlbench_data::DatasetKind;
 
 /// A reduction preset for accuracy-bearing training runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// The default, [`Scale::Tiny`], is what CLI commands and spec cells
+/// run at when no scale is given; bench harnesses read
+/// [`Scale::from_env`] instead.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Scale {
     /// Minimal scale for unit/integration tests (seconds per cell).
+    #[default]
     Tiny,
     /// Default benchmark scale (tens of seconds per cell).
     Small,
@@ -22,15 +27,29 @@ pub enum Scale {
     Paper,
 }
 
-impl Scale {
+impl std::str::FromStr for Scale {
+    type Err = String;
+
     /// Parses a scale name case-insensitively (`tiny`/`small`/`paper`,
     /// any capitalization, surrounding whitespace ignored).
-    pub fn parse(raw: &str) -> Option<Scale> {
+    fn from_str(raw: &str) -> Result<Self, String> {
         match raw.trim().to_ascii_lowercase().as_str() {
-            "tiny" => Some(Scale::Tiny),
-            "small" => Some(Scale::Small),
-            "paper" => Some(Scale::Paper),
-            _ => None,
+            "tiny" => Ok(Scale::Tiny),
+            "small" => Ok(Scale::Small),
+            "paper" => Ok(Scale::Paper),
+            _ => Err(format!("unknown scale `{}` (expected tiny|small|paper)", raw.trim())),
+        }
+    }
+}
+
+impl Scale {
+    /// Canonical lowercase spelling used in spec files, cell hashes and
+    /// the CLI (`tiny`, `small`, `paper`).
+    pub fn key(&self) -> &'static str {
+        match self {
+            Scale::Tiny => "tiny",
+            Scale::Small => "small",
+            Scale::Paper => "paper",
         }
     }
 
@@ -41,7 +60,7 @@ impl Scale {
     /// exactly `tiny` or `TINY`, so `Tiny` quietly became `Small`).
     pub fn from_env() -> Scale {
         match std::env::var("DLBENCH_SCALE") {
-            Ok(raw) => Scale::parse(&raw).unwrap_or_else(|| {
+            Ok(raw) => raw.parse().unwrap_or_else(|_| {
                 eprintln!(
                     "warning: unrecognized DLBENCH_SCALE `{raw}` \
                      (expected tiny|small|paper); using small"
@@ -160,12 +179,25 @@ mod tests {
         // Regression: only the exact strings `tiny`/`TINY` (etc.) used
         // to match, so `Tiny` silently ran at Small scale.
         for raw in ["tiny", "TINY", "Tiny", " tiny ", "tInY"] {
-            assert_eq!(Scale::parse(raw), Some(Scale::Tiny), "{raw:?}");
+            assert_eq!(raw.parse(), Ok(Scale::Tiny), "{raw:?}");
         }
-        assert_eq!(Scale::parse("Small"), Some(Scale::Small));
-        assert_eq!(Scale::parse("PAPER"), Some(Scale::Paper));
-        assert_eq!(Scale::parse("huge"), None);
-        assert_eq!(Scale::parse(""), None);
+        assert_eq!("Small".parse(), Ok(Scale::Small));
+        assert_eq!("PAPER".parse(), Ok(Scale::Paper));
+        for s in [Scale::Tiny, Scale::Small, Scale::Paper] {
+            assert_eq!(s.key().parse(), Ok(s));
+        }
+        assert!("huge".parse::<Scale>().is_err());
+        assert!("".parse::<Scale>().is_err());
+    }
+
+    #[test]
+    fn scale_parsing_defaults_to_tiny() {
+        assert_eq!(Scale::default(), Scale::Tiny);
+        assert_eq!("paper".parse(), Ok(Scale::Paper));
+        assert_eq!(
+            "huge".parse::<Scale>().unwrap_err(),
+            "unknown scale `huge` (expected tiny|small|paper)"
+        );
     }
 
     #[test]

@@ -30,13 +30,18 @@ impl ModelDtype {
             ModelDtype::Int8 => "int8",
         }
     }
+}
 
-    /// Parses a dtype name case-insensitively.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "fp32" => Some(ModelDtype::Fp32),
-            "int8" => Some(ModelDtype::Int8),
-            _ => None,
+impl std::str::FromStr for ModelDtype {
+    type Err = String;
+
+    /// Parses `fp32`/`f32`/`float32` or `int8`/`i8`, case-insensitively
+    /// and ignoring surrounding whitespace.
+    fn from_str(raw: &str) -> Result<Self, String> {
+        match raw.trim().to_ascii_lowercase().as_str() {
+            "fp32" | "f32" | "float32" => Ok(ModelDtype::Fp32),
+            "int8" | "i8" => Ok(ModelDtype::Int8),
+            _ => Err(format!("unknown quantize mode `{}` (expected fp32|int8)", raw.trim())),
         }
     }
 }
@@ -291,5 +296,28 @@ impl ModelRegistry {
         for e in self.entries.values() {
             e.batcher.drain();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn dtype_spellings_roundtrip_to_canonical_names() {
+        for (raw, dtype) in [
+            ("fp32", ModelDtype::Fp32),
+            ("f32", ModelDtype::Fp32),
+            ("float32", ModelDtype::Fp32),
+            ("int8", ModelDtype::Int8),
+            ("i8", ModelDtype::Int8),
+            (" INT8 ", ModelDtype::Int8),
+        ] {
+            let parsed: ModelDtype = raw.parse().unwrap();
+            assert_eq!(parsed, dtype, "{raw:?}");
+            assert_eq!(parsed.name().parse::<ModelDtype>().unwrap(), parsed);
+        }
+        let err = "int4".parse::<ModelDtype>().unwrap_err();
+        assert!(err.contains("unknown quantize mode") && err.contains("fp32|int8"), "{err}");
     }
 }

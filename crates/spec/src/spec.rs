@@ -1,25 +1,21 @@
-//! Declarative experiment specs: a JSON file describing axes of the
-//! benchmark cross-product (framework personality, default setting,
-//! dataset, device, world size, serving deadline…) expands into a
-//! deterministic *plan* of cells, each identified by a content hash of
-//! its fully-resolved parameters. `run_plan` executes the plan through
-//! the cached [`BenchmarkRunner`] / distributed driver / serving
-//! backend, persisting every finished cell to an on-disk cache so an
-//! interrupted sweep resumes instead of retraining.
-//!
-//! Grammar, interpolation rules, hashing and cache layout are
-//! documented in `DESIGN.md` §11.
+//! Spec grammar, typed cells, content hashing, the cell cache and
+//! plan execution. Grammar, interpolation rules, hashing and cache
+//! layout are documented in `DESIGN.md` §11.
 
-use crate::metrics::CellMetrics;
-use crate::report::ExperimentReport;
-use crate::runner::{BenchmarkRunner, TrainKey};
+use dlbench_core::metrics::CellMetrics;
+use dlbench_core::report::ExperimentReport;
+use dlbench_core::runner::{BenchmarkRunner, TrainKey};
 use dlbench_data::DatasetKind;
 use dlbench_dist::{run_dist_training, DistConfig, Strategy};
+use dlbench_fleet::{simulate_fleet, RoutingPolicy, SimFleetConfig};
 use dlbench_frameworks::{DefaultSetting, FrameworkKind, Scale};
-use dlbench_json::{self as json, JsonValue};
+use dlbench_json::{self as json, JsonValue, ToJson};
+use dlbench_serve::loadgen::{self, LoadConfig, LoadMode};
+use dlbench_serve::{BatchConfig, ModelDtype, ModelRegistry, ModelSpec};
 use dlbench_simtime::{devices, Device};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 /// Format tag written into every cache entry and result document, and
 /// salted into every cell hash. Bump it to invalidate all caches when
@@ -463,8 +459,8 @@ pub enum DeviceChoice {
 }
 
 impl DeviceChoice {
-    /// Canonical spec spelling.
-    pub fn name(self) -> &'static str {
+    /// Canonical spec spelling (`cpu`, `gpu`).
+    pub fn key(self) -> &'static str {
         match self {
             DeviceChoice::Cpu => "cpu",
             DeviceChoice::Gpu => "gpu",
@@ -478,12 +474,18 @@ impl DeviceChoice {
             DeviceChoice::Gpu => devices::gtx_1080_ti(),
         }
     }
+}
 
-    fn parse(s: &str) -> Result<DeviceChoice, String> {
-        match s.to_ascii_lowercase().as_str() {
+impl FromStr for DeviceChoice {
+    type Err = String;
+
+    /// Parses `cpu` or `gpu`, case-insensitively and ignoring
+    /// surrounding whitespace.
+    fn from_str(raw: &str) -> Result<Self, String> {
+        match raw.trim().to_ascii_lowercase().as_str() {
             "cpu" => Ok(DeviceChoice::Cpu),
             "gpu" => Ok(DeviceChoice::Gpu),
-            other => Err(format!("unknown device `{other}` (expected cpu|gpu)")),
+            _ => Err(format!("unknown device `{}` (expected cpu|gpu)", raw.trim())),
         }
     }
 }
@@ -522,7 +524,7 @@ pub struct DistCellSpec {
     pub max_steps: Option<usize>,
 }
 
-/// A fully-resolved serving cell, executed by a [`ServeBackend`].
+/// A fully-resolved serving cell, executed against the real HTTP tier.
 #[derive(Debug, Clone)]
 pub struct ServeCellSpec {
     /// Host personality of the served model.
@@ -541,13 +543,11 @@ pub struct ServeCellSpec {
     pub requests: usize,
     /// Open-loop arrival rate (requests/second).
     pub rate_rps: f64,
-    /// Serving dtype, canonical spelling (`fp32` or `int8`). Kept as a
-    /// string because `dlbench-core` cannot depend on `dlbench-serve`;
-    /// the backend re-parses it into `ModelDtype`.
-    pub quantize: String,
+    /// Serving dtype (the spec's `quantize` parameter).
+    pub dtype: ModelDtype,
 }
 
-/// A fully-resolved fleet cell, executed by a [`FleetBackend`]
+/// A fully-resolved fleet cell, executed by the simtime fleet simulator
 /// (simulated routing/autoscaling sweep at one arrival rate).
 #[derive(Debug, Clone)]
 pub struct FleetCellSpec {
@@ -562,10 +562,8 @@ pub struct FleetCellSpec {
     /// Fixed replica count (autoscaling off in spec cells, so the cell
     /// hash fully determines the fleet shape).
     pub replicas: usize,
-    /// Routing policy, canonical spelling (`rr`, `least-queue`,
-    /// `batch-aware`). Kept as a string because `dlbench-core` cannot
-    /// depend on `dlbench-fleet`; the backend re-parses it.
-    pub routing: String,
+    /// Routing policy (the spec's `routing` parameter).
+    pub policy: RoutingPolicy,
     /// Latency SLO the fleet holds (milliseconds).
     pub target_p99_ms: f64,
     /// Micro-batching cap per replica.
@@ -574,34 +572,8 @@ pub struct FleetCellSpec {
     pub requests: usize,
     /// Open-loop arrival rate (requests/second).
     pub rate_rps: f64,
-    /// Serving dtype, canonical spelling (`fp32` or `int8`); see
-    /// [`ServeCellSpec::quantize`].
-    pub quantize: String,
-}
-
-/// Canonicalizes a routing-policy spelling. Mirrors
-/// `dlbench_fleet::RoutingPolicy::parse` (core cannot call it);
-/// `tests/tests/spec.rs` pins the two lists together.
-/// Canonicalizes a serving-dtype spelling. Mirrors
-/// `dlbench_serve::ModelDtype::parse` (core cannot call it);
-/// `tests/tests/spec.rs` pins the two lists together.
-fn canonical_quantize(s: &str) -> Result<&'static str, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "fp32" | "f32" | "float32" => Ok("fp32"),
-        "int8" | "i8" => Ok("int8"),
-        other => Err(format!("unknown quantize mode `{other}` (expected fp32|int8)")),
-    }
-}
-
-fn canonical_routing(s: &str) -> Result<&'static str, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "rr" | "round-robin" | "roundrobin" => Ok("rr"),
-        "least-queue" | "leastqueue" | "lq" => Ok("least-queue"),
-        "batch-aware" | "batchaware" | "ba" => Ok("batch-aware"),
-        other => {
-            Err(format!("unknown routing policy `{other}` (expected rr|least-queue|batch-aware)"))
-        }
-    }
+    /// Serving dtype (the spec's `quantize` parameter).
+    pub dtype: ModelDtype,
 }
 
 /// The typed payload a plan cell dispatches on.
@@ -617,48 +589,6 @@ pub enum CellPayload {
     Fleet(FleetCellSpec),
 }
 
-fn parse_framework(s: &str) -> Result<FrameworkKind, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "tf" | "tensorflow" => Ok(FrameworkKind::TensorFlow),
-        "caffe" => Ok(FrameworkKind::Caffe),
-        "torch" => Ok(FrameworkKind::Torch),
-        other => Err(format!("unknown framework `{other}` (expected tf|caffe|torch)")),
-    }
-}
-
-fn framework_name(fw: FrameworkKind) -> &'static str {
-    match fw {
-        FrameworkKind::TensorFlow => "tf",
-        FrameworkKind::Caffe => "caffe",
-        FrameworkKind::Torch => "torch",
-    }
-}
-
-fn parse_dataset(s: &str) -> Result<DatasetKind, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "mnist" => Ok(DatasetKind::Mnist),
-        "cifar10" | "cifar-10" => Ok(DatasetKind::Cifar10),
-        "imdb" => Ok(DatasetKind::Imdb),
-        other => Err(format!("unknown dataset `{other}` (expected mnist|cifar10|imdb)")),
-    }
-}
-
-fn dataset_name(ds: DatasetKind) -> &'static str {
-    match ds {
-        DatasetKind::Mnist => "mnist",
-        DatasetKind::Cifar10 => "cifar10",
-        DatasetKind::Imdb => "imdb",
-    }
-}
-
-fn scale_name(s: Scale) -> &'static str {
-    match s {
-        Scale::Tiny => "tiny",
-        Scale::Small => "small",
-        Scale::Paper => "paper",
-    }
-}
-
 /// Typed parameter accessors over a cell's resolved string params.
 struct Params<'a>(&'a BTreeMap<String, String>);
 
@@ -669,6 +599,11 @@ impl<'a> Params<'a> {
 
     fn require(&self, key: &str) -> Result<&'a str, String> {
         self.get(key).ok_or_else(|| format!("missing required parameter `{key}`"))
+    }
+
+    /// An axis value parsed through its type's [`FromStr`].
+    fn axis<T: FromStr<Err = String>>(&self, key: &str) -> Result<Option<T>, String> {
+        self.get(key).map(str::parse).transpose()
     }
 
     fn usize(&self, key: &str) -> Result<Option<usize>, String> {
@@ -697,61 +632,39 @@ impl<'a> Params<'a> {
 /// hash covers.
 fn typed_cell(kind: CellKindTag, params: BTreeMap<String, String>) -> Result<PlanCell, String> {
     let p = Params(&params);
-    let host = parse_framework(p.require("framework")?)?;
-    let dataset = parse_dataset(p.require("dataset")?)?;
-    let scale = match p.get("scale") {
-        None => Scale::Tiny,
-        Some(s) => Scale::parse(s).ok_or_else(|| format!("unknown scale `{s}`"))?,
-    };
+    let host: FrameworkKind = p.require("framework")?.parse()?;
+    let dataset: DatasetKind = p.require("dataset")?.parse()?;
+    let scale: Scale = p.axis("scale")?.unwrap_or_default();
     let seed: u64 = match p.get("seed") {
         None => 42,
         Some(s) => s.parse().map_err(|_| format!("`seed` is not an integer: `{s}`"))?,
     };
     let mut canonical = BTreeMap::new();
-    canonical.insert("framework".to_string(), framework_name(host).to_string());
-    canonical.insert("dataset".to_string(), dataset_name(dataset).to_string());
-    canonical.insert("scale".to_string(), scale_name(scale).to_string());
+    canonical.insert("framework".to_string(), host.key().to_string());
+    canonical.insert("dataset".to_string(), dataset.key().to_string());
+    canonical.insert("scale".to_string(), scale.key().to_string());
     canonical.insert("seed".to_string(), seed.to_string());
 
     let setting = |p: &Params| -> Result<DefaultSetting, String> {
-        let owner = match p.get("setting_owner") {
-            None => host,
-            Some(s) => parse_framework(s)?,
-        };
-        let tuned_for = match p.get("setting_dataset") {
-            None => dataset,
-            Some(s) => parse_dataset(s)?,
-        };
-        // Text and image settings take different input shapes (token
-        // sequences vs pixel grids), so transplanting across the
-        // modality boundary cannot instantiate; reject it here with the
-        // fix instead of panicking during model construction.
-        if tuned_for.is_text() != dataset.is_text() {
-            return Err(format!(
-                "setting_dataset `{}` cannot be applied to dataset `{}`: text and image \
-                 architectures take different input shapes; set `setting_dataset` to \
-                 `{}` or change `dataset`",
-                dataset_name(tuned_for),
-                dataset_name(dataset),
-                dataset_name(dataset),
-            ));
-        }
-        Ok(DefaultSetting::new(owner, tuned_for))
+        DefaultSetting::for_cell(
+            host,
+            dataset,
+            p.axis("setting_owner")?,
+            p.axis("setting_dataset")?,
+        )
     };
 
     let (payload, label) = match kind {
         CellKindTag::Train => {
             let setting = setting(&p)?;
-            let device = DeviceChoice::parse(p.require("device")?)?;
-            canonical.insert("device".to_string(), device.name().to_string());
-            canonical
-                .insert("setting_owner".to_string(), framework_name(setting.owner).to_string());
-            canonical
-                .insert("setting_dataset".to_string(), dataset_name(setting.tuned_for).to_string());
+            let device: DeviceChoice = p.require("device")?.parse()?;
+            canonical.insert("device".to_string(), device.key().to_string());
+            canonical.insert("setting_owner".to_string(), setting.owner.key().to_string());
+            canonical.insert("setting_dataset".to_string(), setting.tuned_for.key().to_string());
             let label = format!("{} ({}) on {}", host.name(), setting.label(), dataset.name());
             let cell =
                 TrainCellSpec { key: TrainKey { host, setting, dataset }, device, scale, seed };
-            (CellPayload::Train(cell), format!("{label} [{}]", device.name()))
+            (CellPayload::Train(cell), format!("{label} [{}]", device.key()))
         }
         CellKindTag::Dist => {
             if dataset.is_text() {
@@ -759,7 +672,7 @@ fn typed_cell(kind: CellKindTag, params: BTreeMap<String, String>) -> Result<Pla
                     "dataset `{}` only applies to train, serve and fleet grids (the \
                      data-parallel driver shards image batches only), but this grid is \
                      kind `dist`; move the cell to a train grid or pick an image dataset",
-                    dataset_name(dataset)
+                    dataset.key()
                 ));
             }
             let setting = setting(&p)?;
@@ -769,12 +682,10 @@ fn typed_cell(kind: CellKindTag, params: BTreeMap<String, String>) -> Result<Pla
             if workers == 0 {
                 return Err("`workers` must be at least 1".into());
             }
-            let strategy = Strategy::parse(p.require("strategy")?)?;
+            let strategy: Strategy = p.require("strategy")?.parse()?;
             let max_steps = p.usize("max_steps")?;
-            canonical
-                .insert("setting_owner".to_string(), framework_name(setting.owner).to_string());
-            canonical
-                .insert("setting_dataset".to_string(), dataset_name(setting.tuned_for).to_string());
+            canonical.insert("setting_owner".to_string(), setting.owner.key().to_string());
+            canonical.insert("setting_dataset".to_string(), setting.tuned_for.key().to_string());
             canonical.insert("workers".to_string(), workers.to_string());
             canonical.insert("strategy".to_string(), strategy.name().to_string());
             if let Some(steps) = max_steps {
@@ -799,18 +710,17 @@ fn typed_cell(kind: CellKindTag, params: BTreeMap<String, String>) -> Result<Pla
             if rate_rps <= 0.0 {
                 return Err("`rate_rps` must be positive".into());
             }
-            let quantize = canonical_quantize(p.get("quantize").unwrap_or("fp32"))?;
+            let dtype = p.axis("quantize")?.unwrap_or(ModelDtype::Fp32);
             canonical.insert("deadline_ms".to_string(), fmt_num(deadline_ms));
             canonical.insert("max_batch".to_string(), max_batch.to_string());
             canonical.insert("requests".to_string(), requests.to_string());
             canonical.insert("rate_rps".to_string(), fmt_num(rate_rps));
-            canonical.insert("quantize".to_string(), quantize.to_string());
+            canonical.insert("quantize".to_string(), dtype.name().to_string());
             let label = format!(
-                "{} on {} (deadline {}ms, {})",
+                "{} on {} (deadline {}ms, {dtype})",
                 host.name(),
                 dataset.name(),
                 fmt_num(deadline_ms),
-                quantize
             );
             let cell = ServeCellSpec {
                 host,
@@ -821,13 +731,13 @@ fn typed_cell(kind: CellKindTag, params: BTreeMap<String, String>) -> Result<Pla
                 max_batch,
                 requests,
                 rate_rps,
-                quantize: quantize.to_string(),
+                dtype,
             };
             (CellPayload::Serve(cell), label)
         }
         CellKindTag::Fleet => {
             let replicas = p.usize("replicas")?.unwrap_or(2).max(1);
-            let routing = canonical_routing(p.get("routing").unwrap_or("least-queue"))?;
+            let policy = p.axis("routing")?.unwrap_or(RoutingPolicy::LeastQueue);
             let target_p99_ms = p.f64("target_p99_ms")?.unwrap_or(50.0);
             if target_p99_ms <= 0.0 {
                 return Err("`target_p99_ms` must be positive".into());
@@ -838,22 +748,19 @@ fn typed_cell(kind: CellKindTag, params: BTreeMap<String, String>) -> Result<Pla
             if rate_rps <= 0.0 {
                 return Err("`rate_rps` must be positive".into());
             }
-            let quantize = canonical_quantize(p.get("quantize").unwrap_or("fp32"))?;
+            let dtype = p.axis("quantize")?.unwrap_or(ModelDtype::Fp32);
             canonical.insert("replicas".to_string(), replicas.to_string());
-            canonical.insert("routing".to_string(), routing.to_string());
+            canonical.insert("routing".to_string(), policy.name().to_string());
             canonical.insert("target_p99_ms".to_string(), fmt_num(target_p99_ms));
             canonical.insert("max_batch".to_string(), max_batch.to_string());
             canonical.insert("requests".to_string(), requests.to_string());
             canonical.insert("rate_rps".to_string(), fmt_num(rate_rps));
-            canonical.insert("quantize".to_string(), quantize.to_string());
+            canonical.insert("quantize".to_string(), dtype.name().to_string());
             let label = format!(
-                "{} on {} x{} {} @ {}rps ({})",
+                "{} on {} x{replicas} {policy} @ {}rps ({dtype})",
                 host.name(),
                 dataset.name(),
-                replicas,
-                routing,
                 fmt_num(rate_rps),
-                quantize
             );
             let cell = FleetCellSpec {
                 host,
@@ -861,12 +768,12 @@ fn typed_cell(kind: CellKindTag, params: BTreeMap<String, String>) -> Result<Pla
                 scale,
                 seed,
                 replicas,
-                routing: routing.to_string(),
+                policy,
                 target_p99_ms,
                 max_batch,
                 requests,
                 rate_rps,
-                quantize: quantize.to_string(),
+                dtype,
             };
             (CellPayload::Fleet(cell), label)
         }
@@ -1005,24 +912,6 @@ fn store_cell(dir: &Path, cell: &PlanCell, result: &JsonValue) -> Result<(), Str
 // Execution
 // ---------------------------------------------------------------------
 
-/// Executes serve cells. Defined as a trait because `dlbench-core`
-/// cannot depend on `dlbench-serve` (serve depends on core); the CLI
-/// injects an implementation backed by the real HTTP tier.
-pub trait ServeBackend {
-    /// Runs one serving cell and returns its result document.
-    fn run_serve(&self, cell: &ServeCellSpec) -> Result<JsonValue, String>;
-}
-
-/// Executes fleet cells. Same injection pattern as [`ServeBackend`]:
-/// `dlbench-core` cannot depend on `dlbench-fleet`, so the CLI
-/// provides an implementation backed by the simtime fleet simulator.
-pub trait FleetBackend {
-    /// Runs one fleet cell and returns its result document. The result
-    /// must exclude wall-clock fields so cached and fresh runs agree
-    /// byte-for-byte.
-    fn run_fleet(&self, cell: &FleetCellSpec) -> Result<JsonValue, String>;
-}
-
 /// Options for [`run_plan`].
 pub struct RunOptions {
     /// Directory holding `<hash>.json` cell entries.
@@ -1066,12 +955,7 @@ pub struct SpecRun {
 /// once; uncached trainings prefetch in chunks of the configured
 /// thread count, and every chunk's cells persist before the next chunk
 /// starts, so a killed sweep loses at most one chunk of work.
-pub fn run_plan(
-    plan: &Plan,
-    opts: &RunOptions,
-    serve: Option<&dyn ServeBackend>,
-    fleet: Option<&dyn FleetBackend>,
-) -> Result<SpecRun, String> {
+pub fn run_plan(plan: &Plan, opts: &RunOptions) -> Result<SpecRun, String> {
     std::fs::create_dir_all(&opts.cache_dir)
         .map_err(|e| format!("creating cache dir {}: {e}", opts.cache_dir.display()))?;
     let mut results: Vec<Option<(JsonValue, bool)>> = Vec::with_capacity(plan.cells.len());
@@ -1122,18 +1006,8 @@ pub fn run_plan(
         let result = match &cell.payload {
             CellPayload::Train(_) => unreachable!("train misses handled above"),
             CellPayload::Dist(d) => dist_result(d)?,
-            CellPayload::Serve(s) => {
-                let backend = serve.ok_or_else(|| {
-                    "spec contains serve cells but no serve backend is available".to_string()
-                })?;
-                backend.run_serve(s)?
-            }
-            CellPayload::Fleet(f) => {
-                let backend = fleet.ok_or_else(|| {
-                    "spec contains fleet cells but no fleet backend is available".to_string()
-                })?;
-                backend.run_fleet(f)?
-            }
+            CellPayload::Serve(s) => serve_result(s)?,
+            CellPayload::Fleet(f) => fleet_result(f),
         };
         store_cell(&opts.cache_dir, cell, &result)?;
         results[i] = Some((result, false));
@@ -1213,6 +1087,57 @@ fn dist_result(cell: &DistCellSpec) -> Result<JsonValue, String> {
         ("bytes_per_step".into(), (out.comm.bytes_per_step as f64).into()),
         ("sims".into(), sims),
     ]))
+}
+
+/// Result document for a serve cell, measured against the real HTTP
+/// tier: the model serves on an ephemeral port, the open-loop generator
+/// drives it, and the load report becomes the cell result, led by the
+/// model facts the report cannot know (the serving dtype and, for int8,
+/// the calibration stats).
+fn serve_result(cell: &ServeCellSpec) -> Result<JsonValue, String> {
+    let spec = ModelSpec::own_default("default", cell.host, cell.dataset, cell.scale, cell.seed)
+        .with_dtype(cell.dtype);
+    let served = spec.instantiate(None).map_err(|e| e.to_string())?;
+    let calibration = (cell.dtype == ModelDtype::Int8)
+        .then(|| dlbench_quant::calibration(&served.model).to_json());
+    let config = BatchConfig {
+        max_batch: cell.max_batch,
+        max_wait: std::time::Duration::from_millis(cell.deadline_ms.round() as u64),
+        ..BatchConfig::default()
+    };
+    let mut registry = ModelRegistry::new();
+    registry.register(served, config).map_err(|e| e.to_string())?;
+    let server = dlbench_serve::serve(registry, "127.0.0.1:0")
+        .map_err(|e| format!("cannot bind an ephemeral port: {e}"))?;
+    let inputs = loadgen::sample_inputs(cell.dataset, cell.scale, cell.seed, 16);
+    let load =
+        LoadConfig { mode: LoadMode::Open { rate_rps: cell.rate_rps }, requests: cell.requests };
+    let report = loadgen::run(server.addr(), "default", &inputs, &load);
+    server.shutdown();
+    let mut members = vec![("dtype".to_string(), JsonValue::from(cell.dtype.name()))];
+    if let Some(stats) = calibration {
+        members.push(("calibration".to_string(), stats));
+    }
+    if let JsonValue::Object(rest) = report.to_json() {
+        members.extend(rest);
+    }
+    Ok(JsonValue::Object(members))
+}
+
+/// Result document for a fleet cell, from the simtime fleet simulator:
+/// pure sim-time, so cached and fresh results agree byte-for-byte.
+fn fleet_result(cell: &FleetCellSpec) -> JsonValue {
+    let mut cfg = SimFleetConfig::new(cell.rate_rps, cell.requests);
+    cfg.host = cell.host;
+    cfg.dataset = cell.dataset;
+    cfg.scale = cell.scale;
+    cfg.seed = cell.seed;
+    cfg.policy = cell.policy;
+    cfg.replicas = cell.replicas;
+    cfg.max_batch = cell.max_batch;
+    cfg.target_p99_ms = cell.target_p99_ms;
+    cfg.dtype = cell.dtype;
+    simulate_fleet(&cfg).to_json()
 }
 
 // ---------------------------------------------------------------------

@@ -65,6 +65,13 @@ test -s target/dlbench-reports/BENCH_spec.json
 cargo test -p dlbench-integration-tests --test spec --locked -q
 rm -rf target/dlbench-check-cache
 
+echo "==> spec bench (fleet sweep through run_plan, BENCH_spec.json byte-identical across runs)"
+cargo bench --bench spec --locked -- examples/specs/fleet_sweep.json > /dev/null
+cp target/dlbench-reports/BENCH_spec.json target/dlbench-reports/BENCH_spec.first.json
+cargo bench --bench spec --locked -- examples/specs/fleet_sweep.json > /dev/null
+cmp target/dlbench-reports/BENCH_spec.first.json target/dlbench-reports/BENCH_spec.json
+rm -f target/dlbench-reports/BENCH_spec.first.json
+
 echo "==> fleet smoke (2 replicas, live promotion under load, zero errored requests)"
 cargo run -p dlbench-cli --release --locked -q -- fleet --replicas 2 \
     --workers 2 --max-steps 20 > /dev/null

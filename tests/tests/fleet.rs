@@ -262,11 +262,7 @@ fn live_dist_training_stream_promotes_epoch_checkpoints() {
 #[test]
 fn routing_policies_parse_and_roundtrip() {
     for &p in &RoutingPolicy::ALL {
-        assert_eq!(RoutingPolicy::parse(p.name()), Some(p));
-    }
-    // The spec layer's canonical spellings must stay in sync with the
-    // fleet crate (dlbench-core re-validates routing strings itself).
-    for name in ["rr", "least-queue", "batch-aware"] {
-        assert!(RoutingPolicy::parse(name).is_some(), "spec spelling `{name}` must parse");
+        assert_eq!(p.name().parse(), Ok(p));
+        assert_eq!(p.to_string().parse(), Ok(p));
     }
 }

@@ -3,9 +3,9 @@
 //! resume, corrupt-entry tolerance, and bit-for-bit equivalence with
 //! the direct `BenchmarkRunner` path.
 
-use dlbench_core::spec::{self, ExperimentSpec, RunOptions};
 use dlbench_core::BenchmarkRunner;
 use dlbench_integration_tests::TEST_SEED;
+use dlbench_spec::{self as spec, CellPayload, ExperimentSpec, RunOptions};
 use std::path::{Path, PathBuf};
 
 fn repo_path(rel: &str) -> PathBuf {
@@ -94,13 +94,13 @@ fn resume_retrains_only_missing_cells() {
     let plan = small_grid().expand().unwrap();
     assert_eq!(plan.cells.len(), 4);
     let opts = RunOptions { cache_dir: cache.path().to_path_buf(), force: false };
-    let first = spec::run_plan(&plan, &opts, None, None).unwrap();
+    let first = spec::run_plan(&plan, &opts).unwrap();
     assert_eq!((first.executed, first.cache_hits), (4, 0));
 
     // Simulate a killed sweep by deleting one finished cell.
     let victim = cache.path().join(format!("{}.json", first.cells[2].hash));
     std::fs::remove_file(&victim).unwrap();
-    let second = spec::run_plan(&plan, &opts, None, None).unwrap();
+    let second = spec::run_plan(&plan, &opts).unwrap();
     assert_eq!((second.executed, second.cache_hits), (1, 3), "exactly the deleted cell re-runs");
 
     // The resumed run reproduces the original results bit-for-bit.
@@ -124,7 +124,7 @@ fn truncated_cache_entry_is_a_miss_not_an_error() {
     );
     let plan = ExperimentSpec::parse(&text).unwrap().expand().unwrap();
     let opts = RunOptions { cache_dir: cache.path().to_path_buf(), force: false };
-    let first = spec::run_plan(&plan, &opts, None, None).unwrap();
+    let first = spec::run_plan(&plan, &opts).unwrap();
     assert_eq!(first.executed, 2);
 
     // A crash mid-write never leaves a half entry (temp + rename), but
@@ -132,7 +132,7 @@ fn truncated_cache_entry_is_a_miss_not_an_error() {
     let path = cache.path().join(format!("{}.json", first.cells[0].hash));
     let full = std::fs::read_to_string(&path).unwrap();
     std::fs::write(&path, &full[..full.len() / 3]).unwrap();
-    let second = spec::run_plan(&plan, &opts, None, None).unwrap();
+    let second = spec::run_plan(&plan, &opts).unwrap();
     assert_eq!((second.executed, second.cache_hits), (1, 1));
     assert_eq!(spec::document(&first).pretty(), spec::document(&second).pretty());
 }
@@ -150,7 +150,7 @@ fn spec_cell_matches_direct_runner_bitwise() {
     );
     let plan = ExperimentSpec::parse(&text).unwrap().expand().unwrap();
     let opts = RunOptions { cache_dir: cache.path().to_path_buf(), force: false };
-    let run = spec::run_plan(&plan, &opts, None, None).unwrap();
+    let run = spec::run_plan(&plan, &opts).unwrap();
     let result = &run.cells[0].result;
 
     // The same cell through the `run`/`train` path: identical key,
@@ -183,23 +183,19 @@ fn forced_rerun_is_byte_identical() {
     let plan = ExperimentSpec::parse(&text).unwrap().expand().unwrap();
     let cached = RunOptions { cache_dir: cache.path().to_path_buf(), force: false };
     let forced = RunOptions { cache_dir: cache.path().to_path_buf(), force: true };
-    let first = spec::run_plan(&plan, &cached, None, None).unwrap();
+    let first = spec::run_plan(&plan, &cached).unwrap();
     // `--force` re-executes everything; a deterministic engine must
     // still reproduce the document byte-for-byte.
-    let second = spec::run_plan(&plan, &forced, None, None).unwrap();
+    let second = spec::run_plan(&plan, &forced).unwrap();
     assert_eq!(second.executed, 1);
     assert_eq!(spec::document(&first).pretty(), spec::document(&second).pretty());
 }
 
 #[test]
 fn spec_routing_aliases_stay_in_sync_with_the_fleet_crate() {
-    use dlbench_core::spec::CellPayload;
-    use dlbench_fleet::RoutingPolicy;
-
-    // dlbench-core canonicalizes routing spellings without depending on
-    // dlbench-fleet; this pins the two alias tables together. Every
-    // spelling the fleet crate accepts must expand, and the canonical
-    // string the plan stores must parse back to the same policy.
+    // Every routing spelling the fleet crate accepts expands to one
+    // canonical cell: the policy's name is what the plan stores and
+    // hashes, whatever the spec author wrote.
     let aliases = [
         ("rr", "rr"),
         ("round-robin", "rr"),
@@ -228,50 +224,25 @@ fn spec_routing_aliases_stay_in_sync_with_the_fleet_crate() {
         let CellPayload::Fleet(f) = &plan.cells[0].payload else {
             panic!("expected a fleet cell for alias {alias}");
         };
-        assert_eq!(f.routing, canonical, "core canonicalized `{alias}` differently");
-        let policy = RoutingPolicy::parse(alias)
-            .unwrap_or_else(|| panic!("fleet crate rejects spelling `{alias}`"));
-        assert_eq!(policy.name(), canonical, "alias tables diverged for `{alias}`");
-        assert_eq!(RoutingPolicy::parse(&f.routing), Some(policy));
+        assert_eq!(f.policy.name(), canonical, "`{alias}` resolved to another policy");
+        assert_eq!(plan.cells[0].params["routing"], canonical);
     }
 }
 
 #[test]
 fn shipped_fleet_sweep_spec_expands_and_runs_through_a_backend() {
-    use dlbench_core::spec::{CellPayload, FleetCellSpec};
-    use dlbench_core::FleetBackend;
-    use dlbench_fleet::{simulate_fleet, RoutingPolicy, SimFleetConfig};
-    use dlbench_json::ToJson;
-
-    struct SimBackend;
-    impl FleetBackend for SimBackend {
-        fn run_fleet(&self, cell: &FleetCellSpec) -> Result<dlbench_json::JsonValue, String> {
-            let mut cfg = SimFleetConfig::new(cell.rate_rps, cell.requests);
-            cfg.host = cell.host;
-            cfg.dataset = cell.dataset;
-            cfg.scale = cell.scale;
-            cfg.seed = cell.seed;
-            cfg.replicas = cell.replicas;
-            cfg.max_batch = cell.max_batch;
-            cfg.target_p99_ms = cell.target_p99_ms;
-            cfg.policy = RoutingPolicy::parse(&cell.routing)
-                .ok_or_else(|| format!("bad routing {}", cell.routing))?;
-            Ok(simulate_fleet(&cfg).to_json())
-        }
-    }
-
     let text = std::fs::read_to_string(repo_path("../examples/specs/fleet_sweep.json"))
         .expect("shipped fleet spec readable");
     let plan = ExperimentSpec::parse(&text).unwrap().expand().unwrap();
     assert!(plan.cells.iter().all(|c| matches!(c.payload, CellPayload::Fleet(_))));
     assert_eq!(plan.cells.len(), 18, "3 policies x 3 rates x 2 replica counts");
 
-    // Run a 2-cell slice end to end through the backend and check the
+    // Run a 2-cell slice end to end through `run_plan` and check the
     // per-cell result shape the aggregator summarizes.
     let cache = ScratchCache::new("fleet");
-    let slice = dlbench_core::Plan { name: plan.name.clone(), cells: plan.cells[..2].to_vec() };
+    let slice = spec::Plan { name: plan.name.clone(), cells: plan.cells[..2].to_vec() };
     let opts = RunOptions { cache_dir: cache.path().to_path_buf(), force: false };
-    let run = spec::run_plan(&slice, &opts, None, Some(&SimBackend)).unwrap();
+    let run = spec::run_plan(&slice, &opts).unwrap();
     assert_eq!(run.executed, 2);
     for cell in &run.cells {
         for key in ["completed", "shed_rate", "slo_burn", "latency_ms"] {
@@ -279,16 +250,23 @@ fn shipped_fleet_sweep_spec_expands_and_runs_through_a_backend() {
         }
     }
     // Cached resume: byte-identical document without re-execution.
-    let again = spec::run_plan(&slice, &opts, None, Some(&SimBackend)).unwrap();
+    let again = spec::run_plan(&slice, &opts).unwrap();
     assert_eq!(again.executed, 0);
     assert_eq!(spec::document(&run).pretty(), spec::document(&again).pretty());
+
+    // The `quantize` axis reaches the simulator: an int8 fleet cell
+    // reports the dtype it was asked for.
+    let int8 =
+        text.replace("\"dataset\": \"mnist\"", "\"dataset\": \"mnist\", \"quantize\": \"int8\"");
+    let int8_plan = ExperimentSpec::parse(&int8).unwrap().expand().unwrap();
+    let int8_slice = spec::Plan { name: int8_plan.name, cells: int8_plan.cells[..1].to_vec() };
+    let run = spec::run_plan(&int8_slice, &opts).unwrap();
+    assert_eq!(run.cells[0].params["quantize"], "int8");
+    assert_eq!(run.cells[0].result.get("dtype").and_then(|d| d.as_str()), Some("int8"));
 }
 
 #[test]
 fn quantize_axis_expands_on_serve_and_fleet_grids() {
-    use dlbench_core::spec::CellPayload;
-    use dlbench_serve::ModelDtype;
-
     let text = format!(
         r#"{{
             "name": "it-quantize-axis",
@@ -313,11 +291,11 @@ fn quantize_axis_expands_on_serve_and_fleet_grids() {
         let dtype = cell.params.get("quantize").expect("canonical params carry quantize").clone();
         match &cell.payload {
             CellPayload::Serve(s) => {
-                assert_eq!(s.quantize, dtype);
+                assert_eq!(s.dtype.name(), dtype);
                 serve_dtypes.push(dtype);
             }
             CellPayload::Fleet(f) => {
-                assert_eq!(f.quantize, dtype);
+                assert_eq!(f.dtype.name(), dtype);
                 fleet_dtypes.push(dtype);
             }
             other => panic!("unexpected payload: {other:?}"),
@@ -327,15 +305,6 @@ fn quantize_axis_expands_on_serve_and_fleet_grids() {
     fleet_dtypes.sort();
     assert_eq!(serve_dtypes, ["fp32", "int8"]);
     assert_eq!(fleet_dtypes, ["fp32", "int8"]);
-
-    // The canonical spellings the plan stores must be exactly what the
-    // serving layer parses — the two vocabularies are pinned together.
-    for dtype in ["fp32", "int8"] {
-        assert!(
-            ModelDtype::parse(dtype).is_some(),
-            "serve crate rejects canonical spelling `{dtype}`"
-        );
-    }
 
     // Alias spellings canonicalize rather than multiply cells.
     for (alias, canonical) in [("f32", "fp32"), ("float32", "fp32"), ("i8", "int8")] {
@@ -352,7 +321,7 @@ fn quantize_axis_expands_on_serve_and_fleet_grids() {
         let CellPayload::Serve(s) = &plan.cells[0].payload else {
             panic!("expected a serve cell for alias {alias}");
         };
-        assert_eq!(s.quantize, canonical, "alias `{alias}` canonicalized differently");
+        assert_eq!(s.dtype.name(), canonical, "alias `{alias}` canonicalized differently");
     }
 }
 
