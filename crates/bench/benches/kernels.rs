@@ -1,25 +1,19 @@
-//! Kernel throughput harness and CI perf-regression gate.
+//! Kernel throughput and the CI perf-regression gate: the four GEMM
+//! variants, the int8 inference kernels (`gemm_i8`, `quantize_i8`,
+//! `dequantize_i8`), `im2col`, the convolution forward of every
+//! personality conv layer, and the text-workload layers (embedding
+//! lookup, 3/4/5-width conv1d banks), each with achieved GFLOP/s, into
+//! `target/dlbench-reports/BENCH_kernels.json`.
 //!
-//! Hand-rolled (no criterion facade) so every record carries achieved
-//! GFLOP/s next to its timing, and so the binary itself can enforce the
-//! regression gate: measures the four GEMM variants, the int8 inference
-//! kernels (`gemm_i8`, `quantize_i8`, `dequantize_i8`), `im2col`,
-//! the convolution forward of every personality conv layer, and the
-//! text-workload layers (embedding lookup, 3/4/5-width conv1d banks),
-//! writes
-//! `target/dlbench-reports/BENCH_kernels.json`, and — when
-//! `DLBENCH_PERF_BASELINE` points at a committed baseline JSON — exits
-//! non-zero if any kernel runs >15% slower than the baseline
-//! (`scripts/check.sh` wires this up against
-//! `crates/bench/baselines/kernels.json`).
-//!
-//! CLI contract matches the criterion facade so existing invocations
-//! keep working: `--list` prints names, `--quick`/`--test` runs one
-//! iteration per kernel (and skips the gate — single iterations are too
-//! noisy to judge), a positional argument filters by substring.
+//! With `DLBENCH_PERF_BASELINE` pointing at a committed baseline JSON
+//! (`scripts/check.sh` wires `crates/bench/baselines/kernels.json`), a
+//! full run exits non-zero if any kernel runs >15% slower than its
+//! baseline, or if no measured kernel has a baseline entry at all. The
+//! CLI, timer and gate are [`dlbench_bench::harness`]'s.
 
-use std::time::Instant;
+use std::process::ExitCode;
 
+use dlbench_bench::harness::{self, Harness};
 use dlbench_bench::BENCH_SEED;
 use dlbench_frameworks::{arch_defaults, FrameworkKind};
 use dlbench_nn::{Conv1dBank, Conv2d, Embedding, Initializer, Layer};
@@ -27,82 +21,6 @@ use dlbench_tensor::{
     dequantize_i8, gemm, gemm_a_bt, gemm_at_b, gemm_bias, gemm_i8, im2col, quantize_i8,
     Conv2dGeometry, SeededRng, Tensor,
 };
-
-/// Timed samples per kernel; the fastest is recorded, which filters the
-/// scheduler noise a mean would fold into the regression gate.
-const SAMPLES: usize = 3;
-
-/// Target wall-clock per timed sample.
-const SAMPLE_BUDGET_NS: u128 = 150_000_000;
-
-/// Allowed slowdown versus the committed baseline before the gate fails.
-const REGRESSION_TOLERANCE: f64 = 1.15;
-
-/// Total measurement passes the gate may take before judging: a shared
-/// host can stall any single pass well past the tolerance, so the gate
-/// re-runs the suite and scores each kernel on its best pass — "can the
-/// kernel still run this fast" is the regression question, and the
-/// minimum over passes answers it without loosening the 15% bar.
-const MAX_GATE_PASSES: usize = 3;
-
-struct Record {
-    id: String,
-    mean_ns: f64,
-    iters: u64,
-    gflops: f64,
-}
-
-struct Harness {
-    quick: bool,
-    list_only: bool,
-    filter: Option<String>,
-    records: Vec<Record>,
-}
-
-impl Harness {
-    fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        Self {
-            quick: args.iter().any(|a| a == "--quick" || a == "--test"),
-            list_only: args.iter().any(|a| a == "--list"),
-            filter: args.iter().find(|a| !a.starts_with('-')).cloned(),
-            records: Vec::new(),
-        }
-    }
-
-    /// Times `routine`, recording best-of-[`SAMPLES`] ns/iter and the
-    /// achieved GFLOP/s implied by `flops` per call (0 ⇒ data movement
-    /// only, e.g. `im2col`; reported as 0 GFLOP/s).
-    fn bench<F: FnMut()>(&mut self, id: impl Into<String>, flops: u64, mut routine: F) {
-        let id = id.into();
-        if self.list_only {
-            println!("{id}: bench");
-            return;
-        }
-        if let Some(f) = &self.filter {
-            if !id.contains(f.as_str()) {
-                return;
-            }
-        }
-        // Warm-up doubles as calibration: one timed call sizes the batch.
-        let t0 = Instant::now();
-        routine();
-        let per_iter = t0.elapsed().as_nanos().max(1);
-        let iters =
-            if self.quick { 1 } else { (SAMPLE_BUDGET_NS / per_iter).clamp(1, 10_000) as u64 };
-        let mut best_ns = f64::INFINITY;
-        for _ in 0..if self.quick { 1 } else { SAMPLES } {
-            let t = Instant::now();
-            for _ in 0..iters {
-                routine();
-            }
-            best_ns = best_ns.min(t.elapsed().as_nanos() as f64 / iters as f64);
-        }
-        let gflops = flops as f64 / best_ns;
-        println!("{id:<40} {best_ns:>14.1} ns/iter  {gflops:>8.3} GFLOP/s  ({iters} iters)");
-        self.records.push(Record { id, mean_ns: best_ns, iters, gflops });
-    }
-}
 
 fn gemm_flops(m: usize, k: usize, n: usize) -> u64 {
     2 * (m as u64) * (k as u64) * (n as u64)
@@ -274,109 +192,6 @@ fn bench_text_layers(h: &mut Harness, rng: &mut SeededRng) {
     }
 }
 
-/// `target/dlbench-reports`, recovered from the bench executable's own
-/// path (cargo runs bench binaries with the package root as cwd).
-fn reports_dir() -> std::path::PathBuf {
-    let from_exe = std::env::current_exe().ok().and_then(|exe| {
-        let deps = exe.parent()?;
-        if deps.file_name()? != "deps" {
-            return None;
-        }
-        Some(deps.parent()?.parent()?.join("dlbench-reports"))
-    });
-    from_exe.unwrap_or_else(|| std::path::Path::new("target").join("dlbench-reports"))
-}
-
-fn export_json(records: &[Record]) -> std::path::PathBuf {
-    let dir = reports_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    let mut json = String::from("{\n  \"benchmarks\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"id\": \"{}\", \"mean_ns\": {:.1}, \"iters\": {}, \"gflops\": {:.4}}}{}\n",
-            r.id,
-            r.mean_ns,
-            r.iters,
-            r.gflops,
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let path = dir.join("BENCH_kernels.json");
-    if let Err(e) = std::fs::write(&path, json) {
-        eprintln!("could not write {}: {e}", path.display());
-    }
-    path
-}
-
-/// Loads the committed baseline as `id -> mean_ns`, exiting non-zero if
-/// the file is missing or malformed (a silent gate is no gate).
-fn load_baseline(baseline_path: &str) -> std::collections::BTreeMap<String, f64> {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("perf gate: cannot read baseline {baseline_path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let parsed = match dlbench_json::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("perf gate: cannot parse baseline {baseline_path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let mut baseline = std::collections::BTreeMap::new();
-    if let Some(list) = parsed.get("benchmarks").and_then(|b| b.as_array()) {
-        for entry in list {
-            if let (Some(id), Some(ns)) = (
-                entry.get("id").and_then(|v| v.as_str()),
-                entry.get("mean_ns").and_then(|v| v.as_f64()),
-            ) {
-                baseline.insert(id.to_string(), ns);
-            }
-        }
-    }
-    baseline
-}
-
-/// Kernels running more than [`REGRESSION_TOLERANCE`]× slower than the
-/// baseline. Kernels present on only one side (renamed/added) are
-/// ignored, so the gate never blocks a harness change itself — refresh
-/// the baseline in the same PR instead.
-fn gate_failures(
-    records: &[Record],
-    baseline: &std::collections::BTreeMap<String, f64>,
-) -> Vec<String> {
-    let mut failures = Vec::new();
-    for r in records {
-        if let Some(&base_ns) = baseline.get(&r.id) {
-            let ratio = r.mean_ns / base_ns;
-            if ratio > REGRESSION_TOLERANCE {
-                failures.push(format!(
-                    "  {}: {:.1} ns/iter vs baseline {:.1} ({:+.1}%)",
-                    r.id,
-                    r.mean_ns,
-                    base_ns,
-                    (ratio - 1.0) * 100.0
-                ));
-            }
-        }
-    }
-    failures
-}
-
-/// Keeps, per kernel, the faster of the existing and retry timing.
-fn merge_best(records: &mut [Record], retry: Vec<Record>) {
-    for new in retry {
-        if let Some(old) = records.iter_mut().find(|r| r.id == new.id) {
-            if new.mean_ns < old.mean_ns {
-                *old = new;
-            }
-        }
-    }
-}
-
 fn run_suite(h: &mut Harness, rng: &mut SeededRng) {
     bench_gemm_variants(h, rng);
     bench_quant_kernels(h, rng);
@@ -385,51 +200,7 @@ fn run_suite(h: &mut Harness, rng: &mut SeededRng) {
     bench_text_layers(h, rng);
 }
 
-fn main() {
-    let mut h = Harness::from_args();
+fn main() -> ExitCode {
     let mut rng = SeededRng::new(BENCH_SEED);
-    run_suite(&mut h, &mut rng);
-    if h.list_only || h.records.is_empty() {
-        return;
-    }
-    let gating = std::env::var("DLBENCH_PERF_BASELINE").ok().filter(|_| !h.quick);
-    if let Some(baseline_path) = &gating {
-        let baseline = load_baseline(baseline_path);
-        let mut passes = 1;
-        while !gate_failures(&h.records, &baseline).is_empty() && passes < MAX_GATE_PASSES {
-            passes += 1;
-            eprintln!("perf gate: kernels over tolerance, re-measuring (pass {passes})");
-            let mut retry = Harness {
-                quick: false,
-                list_only: false,
-                filter: h.filter.clone(),
-                records: Vec::new(),
-            };
-            run_suite(&mut retry, &mut rng);
-            merge_best(&mut h.records, retry.records);
-        }
-    }
-    let path = export_json(&h.records);
-    println!("wrote {}", path.display());
-    match &gating {
-        Some(baseline_path) => {
-            let failures = gate_failures(&h.records, &load_baseline(baseline_path));
-            if !failures.is_empty() {
-                eprintln!("perf gate FAILED — kernels >15% slower than {baseline_path}:");
-                for f in &failures {
-                    eprintln!("{f}");
-                }
-                std::process::exit(1);
-            }
-            println!(
-                "perf gate OK ({} kernels within {:.0}% of baseline)",
-                h.records.len(),
-                (REGRESSION_TOLERANCE - 1.0) * 100.0
-            );
-        }
-        None if std::env::var("DLBENCH_PERF_BASELINE").is_ok() => {
-            println!("perf gate skipped (--quick single-iteration timings are too noisy)");
-        }
-        None => {}
-    }
+    harness::run_gated("kernels", |h| run_suite(h, &mut rng))
 }

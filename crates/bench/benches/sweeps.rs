@@ -5,6 +5,7 @@
 //!
 //! `cargo bench --bench sweeps`
 
+use dlbench_bench::harness::Cli;
 use dlbench_data::{BatchIter, DatasetKind};
 use dlbench_frameworks::{trainer, DefaultSetting, FrameworkKind, Scale};
 use dlbench_nn::SoftmaxCrossEntropy;
@@ -47,9 +48,7 @@ fn sweep(base_lr: f32, batch_size: usize, iters: usize, seed: u64) -> (f32, f64)
 }
 
 fn main() {
-    // Honour Criterion's CLI contract enough to be a bench target.
-    if std::env::args().any(|a| a == "--list") {
-        println!("sweeps: bench");
+    if Cli::from_args().listed("sweeps") {
         return;
     }
     println!("Batch-size sweep (Caffe-MNIST config, lr 0.01, 200 iterations)\n");
@@ -74,8 +73,4 @@ fn main() {
          (§II: 'if the learning rate is too large, the training process may not be sophisticated \
          enough and may suffer from fluctuation')."
     );
-
-    println!("\nRegularizer ablation (extension — de-confounded Table IX follow-up)\n");
-    let report = dlbench_core::extensions::regularizer_robustness(Scale::Tiny, 7);
-    println!("{}", report.render());
 }

@@ -23,8 +23,9 @@
 //! runs — check.sh runs it twice and `cmp`s the output.
 
 use dlbench_adversarial::{fgsm_embedding, pgd_embedding, EmbedAttackConfig, PgdConfig};
-use dlbench_bench::BENCH_SEED;
-use dlbench_data::{Dataset, DatasetKind};
+use dlbench_bench::harness::{write_doc, Cli};
+use dlbench_bench::{attack_row, both_correct, BENCH_SEED};
+use dlbench_data::DatasetKind;
 use dlbench_frameworks::{trainer, training_defaults, DefaultSetting, FrameworkKind, Scale};
 use dlbench_json::{JsonValue, ToJson};
 use dlbench_nn::Network;
@@ -36,45 +37,6 @@ use dlbench_trace::Stopwatch;
 /// Network split point for embedding-space attacks: every text
 /// personality puts its embedding layer first.
 const EMBED_SPLIT: usize = 1;
-
-/// The shared `target/dlbench-reports` directory, recovered from the
-/// executable path exactly like the criterion facade does — cargo runs
-/// bench binaries with the *package* root as cwd, so a relative
-/// `target/` would land inside `crates/bench/`.
-fn reports_dir() -> std::path::PathBuf {
-    let from_exe = std::env::current_exe().ok().and_then(|exe| {
-        let deps = exe.parent()?;
-        if deps.file_name()? != "deps" {
-            return None;
-        }
-        Some(deps.parent()?.parent()?.join("dlbench-reports"))
-    });
-    from_exe.unwrap_or_else(|| std::path::Path::new("target").join("dlbench-reports"))
-}
-
-/// Indices of test samples both models classify correctly — the
-/// eligible pool for transfer crafting.
-fn both_correct(net: &mut Network, q: &mut Network, test: &Dataset) -> Vec<usize> {
-    let idx: Vec<usize> = (0..test.len()).collect();
-    let (tokens, labels) = test.gather(&idx);
-    let fp32_preds = net.forward(&tokens, false).argmax_rows();
-    let int8_preds = q.forward(&tokens, false).argmax_rows();
-    idx.into_iter().filter(|&i| fp32_preds[i] == labels[i] && int8_preds[i] == labels[i]).collect()
-}
-
-/// fp32-crafted / int8-transferred success rates for one attack, as a
-/// JSON object.
-fn attack_row(fp32_hits: usize, int8_hits: usize, samples: usize) -> JsonValue {
-    let denom = samples.max(1) as f32;
-    let fp32_rate = fp32_hits as f32 / denom;
-    let int8_rate = int8_hits as f32 / denom;
-    JsonValue::Object(vec![
-        ("samples".into(), samples.into()),
-        ("fp32_success".into(), fp32_rate.into()),
-        ("int8_success".into(), int8_rate.into()),
-        ("delta".into(), (int8_rate - fp32_rate).into()),
-    ])
-}
 
 struct CellRow {
     host: FrameworkKind,
@@ -182,11 +144,11 @@ fn run_cell(host: FrameworkKind, attack_samples: usize) -> CellRow {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--list") {
-        println!("text: bench");
+    let cli = Cli::from_args();
+    if cli.listed("text") {
         return;
     }
-    let quick = std::env::args().any(|a| a == "--quick" || a == "--test");
+    let quick = cli.quick;
     let attack_samples = if quick { 8 } else { 32 };
 
     println!(
@@ -220,13 +182,10 @@ fn main() {
         ("attack_samples".into(), attack_samples.into()),
         ("rows".into(), JsonValue::Array(rows)),
     ]);
-    let out_dir = reports_dir();
-    let _ = std::fs::create_dir_all(&out_dir);
-    let path = out_dir.join("BENCH_text.json");
-    match std::fs::write(&path, doc.pretty() + "\n") {
-        Ok(()) => {
+    match write_doc("BENCH_text.json", &doc) {
+        Ok(path) => {
             println!("done in {:.1}s; rows written to {}", started.elapsed_s(), path.display())
         }
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
+        Err(e) => eprintln!("{e}"),
     }
 }

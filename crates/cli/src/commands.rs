@@ -133,6 +133,7 @@ pub fn run(args: &ParsedArgs) -> Result<(), String> {
     };
     let out_dir = args.get("out").unwrap_or("target/dlbench-reports");
     for id in ids {
+        let started = std::time::Instant::now();
         let mut report = id.run(&mut runner);
         // Execution provenance: thread count affects wall-clock only,
         // but is recorded so report consumers can see how a run was
@@ -147,6 +148,7 @@ pub fn run(args: &ParsedArgs) -> Result<(), String> {
         if args.flag("bars") {
             print!("{}", report.render_bars());
         }
+        println!("  [{} regenerated in {:.1}s]", id.key(), started.elapsed().as_secs_f64());
         if args.flag("json") {
             std::fs::create_dir_all(out_dir)
                 .map_err(|e| format!("cannot create {out_dir}: {e}"))?;
@@ -670,12 +672,29 @@ pub fn loadgen(args: &ParsedArgs) -> Result<(), String> {
         let rate = args.get_parsed("rate", 200.0f64)?;
         let max_batch = args.get_parsed("max-batch", 8usize)?;
         let doc = loadgen::sweep_personalities(scale, seed, &deadlines, requests, rate, max_batch);
-        let out = args.get("out").unwrap_or("target/dlbench-reports/BENCH_serve.json");
-        if let Some(dir) = std::path::Path::new(out).parent() {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+        println!(
+            "{:<12} {:>11} {:>6} {:>6} {:>10} {:>9} {:>9} {:>9}",
+            "framework", "deadline_ms", "ok", "shed", "rps", "p50_ms", "p95_ms", "p99_ms"
+        );
+        for row in doc["rows"].as_array().unwrap_or_default() {
+            let fmt_ms = |k: &str| match row["latency_ms"][k].as_f64() {
+                Some(v) => format!("{v:.2}"),
+                None => "-".to_string(),
+            };
+            println!(
+                "{:<12} {:>11} {:>6} {:>6} {:>10.1} {:>9} {:>9} {:>9}",
+                row["framework"].as_str().unwrap_or("?"),
+                row["batch_deadline_ms"].as_f64().unwrap_or(-1.0) as u64,
+                row["ok"].as_f64().unwrap_or(0.0) as u64,
+                row["shed"].as_f64().unwrap_or(0.0) as u64,
+                row["achieved_rps"].as_f64().unwrap_or(0.0),
+                fmt_ms("p50"),
+                fmt_ms("p95"),
+                fmt_ms("p99"),
+            );
         }
-        std::fs::write(out, doc.pretty()).map_err(|e| format!("cannot write {out}: {e}"))?;
+        let out = args.get("out").unwrap_or("target/dlbench-reports/BENCH_serve.json");
+        write_text_file(out, &doc.pretty())?;
         println!("[serve sweep written to {out}]");
         return Ok(());
     }
@@ -741,6 +760,40 @@ fn fleet_sweep(args: &ParsedArgs) -> Result<(), String> {
     base.target_p99_ms = args.get_parsed("target-p99-ms", 20.0f64)?;
     base.dtype = args.get_parsed("quantize", ModelDtype::Fp32)?;
     let doc = fleet_sweep_doc(&base, &rates, &policies, autoscale_modes);
+    println!(
+        "{:<12} {:>10} {:>6} {:>10} {:>10} {:>9} {:>9} {:>10} {:>8}",
+        "policy",
+        "rate_rps",
+        "auto",
+        "shed_rate",
+        "slo_burn",
+        "p99_ms",
+        "batch",
+        "replicas",
+        "scaleups"
+    );
+    for row in doc["rows"].as_array().unwrap_or_default() {
+        let p99 = match row["latency_ms"]["p99"].as_f64() {
+            Some(v) => format!("{v:.2}"),
+            None => "-".to_string(),
+        };
+        println!(
+            "{:<12} {:>10} {:>6} {:>10.3} {:>10.3} {:>9} {:>9.2} {:>10} {:>8}",
+            row["policy"].as_str().unwrap_or("?"),
+            row["rate_rps"].as_f64().unwrap_or(0.0) as u64,
+            if matches!(row["autoscale"], dlbench_json::JsonValue::Bool(true)) {
+                "on"
+            } else {
+                "off"
+            },
+            row["shed_rate"].as_f64().unwrap_or(0.0),
+            row["slo_burn"].as_f64().unwrap_or(0.0),
+            p99,
+            row["mean_batch"].as_f64().unwrap_or(0.0),
+            row["replicas_peak"].as_f64().unwrap_or(0.0) as u64,
+            row["scale_ups"].as_f64().unwrap_or(0.0) as u64,
+        );
+    }
     let out = args.get("out").unwrap_or("target/dlbench-reports/BENCH_fleet.json");
     write_text_file(out, &(doc.pretty() + "\n"))?;
     let cells = rates.len() * policies.len() * autoscale_modes.len();
@@ -1170,6 +1223,38 @@ pub fn dist_train(args: &ParsedArgs) -> Result<(), String> {
             strategies.iter().map(|s| s.name()).collect::<Vec<_>>().join(", ")
         );
         let doc = scaling_sweep(scale, seed, &workers, &strategies, max_steps);
+        println!(
+            "{:<12} {:>8} {:>7} {:>12} {:>10} {:>10} {:>10} {:>12} {:>8}",
+            "framework",
+            "strategy",
+            "workers",
+            "cpu_train_s",
+            "compute_s",
+            "comm_s",
+            "wait_s",
+            "bytes/step",
+            "speedup"
+        );
+        for row in doc["rows"].as_array().unwrap_or_default() {
+            let (framework, strategy) =
+                (row["framework"].as_str().unwrap_or("?"), row["strategy"].as_str().unwrap_or("?"));
+            let workers = row["workers"].as_f64().unwrap_or(-1.0) as usize;
+            if let Some(err) = row.get("error").and_then(|e| e.as_str()) {
+                println!("{framework:<12} {strategy:>8} {workers:>7}   error: {err}");
+                continue;
+            }
+            let cpu = &row["cpu_sim"];
+            println!(
+                "{framework:<12} {strategy:>8} {workers:>7} {:>12.2} {:>10.2} {:>10.2} {:>10.2} \
+                 {:>12} {:>7.2}x",
+                cpu["train_s"].as_f64().unwrap_or(0.0),
+                cpu["compute_s"].as_f64().unwrap_or(0.0),
+                cpu["comm_s"].as_f64().unwrap_or(0.0),
+                cpu["wait_s"].as_f64().unwrap_or(0.0),
+                row["bytes_per_step"].as_f64().unwrap_or(0.0) as u64,
+                row["cpu_speedup_vs_baseline"].as_f64().unwrap_or(0.0),
+            );
+        }
         let out = args.get("out").unwrap_or("target/dlbench-reports/BENCH_dist.json");
         write_text_file(out, &doc.pretty())?;
         println!("[dist scaling sweep written to {out}]");

@@ -6,7 +6,7 @@ use dlbench_json::{JsonValue, ToJson};
 
 /// A sample-keeping latency/duration distribution with percentile
 /// queries. One implementation serves both report generation (the
-/// `serve` bench harness) and the online `/metrics` endpoint, so the
+/// `dlbench loadgen --sweep`) and the online `/metrics` endpoint, so the
 /// two can never disagree about what "p99" means.
 ///
 /// Percentiles use linear interpolation between closest ranks (the

@@ -13,8 +13,7 @@ use dlbench_data::DatasetKind;
 /// A reduction preset for accuracy-bearing training runs.
 ///
 /// The default, [`Scale::Tiny`], is what CLI commands and spec cells
-/// run at when no scale is given; bench harnesses read
-/// [`Scale::from_env`] instead.
+/// run at when no scale is given.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Scale {
     /// Minimal scale for unit/integration tests (seconds per cell).
@@ -50,24 +49,6 @@ impl Scale {
             Scale::Tiny => "tiny",
             Scale::Small => "small",
             Scale::Paper => "paper",
-        }
-    }
-
-    /// Reads `DLBENCH_SCALE` (`tiny`/`small`/`paper`, case-insensitive)
-    /// with a default of [`Scale::Small`]. An unrecognized value warns
-    /// on stderr and falls back to the default rather than silently
-    /// running at the wrong scale (`Tiny` used to be matched only as
-    /// exactly `tiny` or `TINY`, so `Tiny` quietly became `Small`).
-    pub fn from_env() -> Scale {
-        match std::env::var("DLBENCH_SCALE") {
-            Ok(raw) => raw.parse().unwrap_or_else(|_| {
-                eprintln!(
-                    "warning: unrecognized DLBENCH_SCALE `{raw}` \
-                     (expected tiny|small|paper); using small"
-                );
-                Scale::Small
-            }),
-            Err(_) => Scale::Small,
         }
     }
 
@@ -198,20 +179,6 @@ mod tests {
             "huge".parse::<Scale>().unwrap_err(),
             "unknown scale `huge` (expected tiny|small|paper)"
         );
-    }
-
-    #[test]
-    fn from_env_defaults_and_falls_back_to_small() {
-        // `from_env` consults the real environment; exercise both the
-        // unset and the unrecognized-value paths. Env mutation is
-        // process-global, so keep it confined to this one test.
-        std::env::remove_var("DLBENCH_SCALE");
-        assert_eq!(Scale::from_env(), Scale::Small);
-        std::env::set_var("DLBENCH_SCALE", "enormous");
-        assert_eq!(Scale::from_env(), Scale::Small);
-        std::env::set_var("DLBENCH_SCALE", "Paper");
-        assert_eq!(Scale::from_env(), Scale::Paper);
-        std::env::remove_var("DLBENCH_SCALE");
     }
 
     #[test]

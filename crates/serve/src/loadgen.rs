@@ -72,7 +72,7 @@ impl LoadReport {
         }
     }
 
-    /// JSON row for reports and the bench harness.
+    /// JSON row for reports and the `dlbench loadgen --sweep` document.
     pub fn to_json(&self) -> JsonValue {
         let latency = match self.latency_ms.summary() {
             Some(s) => dlbench_json::ToJson::to_json(&s),

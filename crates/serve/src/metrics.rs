@@ -1,6 +1,6 @@
 //! Per-model serving metrics: completed/shed/error counters, a
 //! latency histogram (shared [`Histogram`] implementation, so `/metrics`
-//! and the bench harness agree on percentile semantics), and the
+//! and the serve sweep agree on percentile semantics), and the
 //! batch-size distribution the micro-batcher actually achieved.
 
 use dlbench_core::Histogram;

@@ -2,19 +2,25 @@
 //! scale and print all three metric groups.
 //!
 //! ```sh
-//! cargo run --release -p dlbench-examples --bin quickstart
+//! cargo run --release -p dlbench-examples --bin quickstart          # tiny
+//! cargo run --release -p dlbench-examples --bin quickstart -- small  # benchmark-grade
 //! ```
+
+use std::process::ExitCode;
 
 use dlbench_core::{BenchmarkRunner, ExperimentId};
 use dlbench_frameworks::Scale;
 
-fn main() {
-    // Tiny scale keeps this example under ~1 min; set
-    // DLBENCH_SCALE=small for benchmark-grade numbers.
-    let scale = match std::env::var("DLBENCH_SCALE").as_deref() {
-        Ok("small") => Scale::Small,
-        Ok("paper") => Scale::Paper,
-        _ => Scale::Tiny,
+fn main() -> ExitCode {
+    // Tiny scale keeps this example under ~1 min; pass `small` (or
+    // `paper`) for benchmark-grade numbers.
+    let scale = match std::env::args().nth(1).map(|raw| raw.parse::<Scale>()) {
+        None => Scale::Tiny,
+        Some(Ok(scale)) => scale,
+        Some(Err(e)) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
     };
     let mut runner = BenchmarkRunner::new(scale, 42);
 
@@ -31,4 +37,5 @@ fn main() {
          scaled configuration.",
         runner.trained_cells()
     );
+    ExitCode::SUCCESS
 }

@@ -34,6 +34,9 @@ cargo run -p dlbench-cli --release --locked -q -- profile --scale tiny \
     --trace target/dlbench-reports/TRACE_profile.json > /dev/null
 test -s target/dlbench-reports/TRACE_profile.json
 
+echo "==> bench CLI (every bench target honours the shared --list contract)"
+cargo bench -p dlbench-bench --locked -- --list > /dev/null
+
 echo "==> trace overhead bench (tracing off vs on, BENCH_trace.json)"
 cargo bench --bench trace --locked -- --quick > /dev/null
 
@@ -51,8 +54,9 @@ echo "==> dist determinism gate (N workers bit-identical to 1, all personalities
 cargo test -p dlbench-integration-tests --test determinism --locked -q \
     dist_training_is_bit_identical
 
-echo "==> dist scaling bench (quick, BENCH_dist.json)"
-cargo bench --bench dist --locked -- --quick > /dev/null
+echo "==> dist scaling sweep (quick, BENCH_dist.json)"
+cargo run -p dlbench-cli --release --locked -q -- dist-train --sweep --workers 1,2 \
+    --max-steps 30 --seed 13745740 > /dev/null
 test -s target/dlbench-reports/BENCH_dist.json
 
 echo "==> spec smoke (2-cell grid, resume re-run must be all cache hits)"
@@ -65,10 +69,10 @@ test -s target/dlbench-reports/BENCH_spec.json
 cargo test -p dlbench-integration-tests --test spec --locked -q
 rm -rf target/dlbench-check-cache
 
-echo "==> spec bench (fleet sweep through run_plan, BENCH_spec.json byte-identical across runs)"
-cargo bench --bench spec --locked -- examples/specs/fleet_sweep.json > /dev/null
+echo "==> spec fleet sweep (fleet cells through run_plan, BENCH_spec.json byte-identical across runs)"
+cargo run -p dlbench-cli --release --locked -q -- run-spec examples/specs/fleet_sweep.json > /dev/null
 cp target/dlbench-reports/BENCH_spec.json target/dlbench-reports/BENCH_spec.first.json
-cargo bench --bench spec --locked -- examples/specs/fleet_sweep.json > /dev/null
+cargo run -p dlbench-cli --release --locked -q -- run-spec examples/specs/fleet_sweep.json > /dev/null
 cmp target/dlbench-reports/BENCH_spec.first.json target/dlbench-reports/BENCH_spec.json
 rm -f target/dlbench-reports/BENCH_spec.first.json
 
@@ -81,10 +85,12 @@ echo "==> fleet determinism gate (bit-transparent across routing x replicas x sc
 cargo test -p dlbench-integration-tests --test determinism --locked -q \
     fleet_serving_is_bit_transparent
 
-echo "==> fleet sweep bench (quick, BENCH_fleet.json, byte-identical across runs)"
-cargo bench --bench fleet --locked -- --quick > /dev/null
+echo "==> fleet sweep (quick, BENCH_fleet.json, byte-identical across runs)"
+cargo run -p dlbench-cli --release --locked -q -- fleet --sweep --requests 600 \
+    --seed 13745740 > /dev/null
 cp target/dlbench-reports/BENCH_fleet.json target/dlbench-reports/BENCH_fleet.first.json
-cargo bench --bench fleet --locked -- --quick > /dev/null
+cargo run -p dlbench-cli --release --locked -q -- fleet --sweep --requests 600 \
+    --seed 13745740 > /dev/null
 cmp target/dlbench-reports/BENCH_fleet.first.json target/dlbench-reports/BENCH_fleet.json
 rm -f target/dlbench-reports/BENCH_fleet.first.json
 
