@@ -1,9 +1,9 @@
 //! Kernel throughput and the CI perf-regression gate: the four GEMM
 //! variants, the int8 inference kernels (`gemm_i8`, `quantize_i8`,
-//! `dequantize_i8`), `im2col`, the convolution forward of every
-//! personality conv layer, and the text-workload layers (embedding
-//! lookup, 3/4/5-width conv1d banks), each with achieved GFLOP/s, into
-//! `target/dlbench-reports/BENCH_kernels.json`.
+//! `dequantize_i8`), `im2col`, the fp32 and int8 convolution forward of
+//! every personality conv layer, and the text-workload layers (embedding
+//! lookup, fp32 and int8 3/4/5-width conv1d banks), each with achieved
+//! GFLOP/s, into `target/dlbench-reports/BENCH_kernels.json`.
 //!
 //! With `DLBENCH_PERF_BASELINE` pointing at a committed baseline JSON
 //! (`scripts/check.sh` wires `crates/bench/baselines/kernels.json`), a
@@ -17,6 +17,7 @@ use dlbench_bench::harness::{self, Harness};
 use dlbench_bench::BENCH_SEED;
 use dlbench_frameworks::{arch_defaults, FrameworkKind};
 use dlbench_nn::{Conv1dBank, Conv2d, Embedding, Initializer, Layer};
+use dlbench_quant::{LayerCalibration, QConv1dBank, QConv2d};
 use dlbench_tensor::{
     dequantize_i8, gemm, gemm_a_bt, gemm_at_b, gemm_bias, gemm_i8, im2col, quantize_i8,
     Conv2dGeometry, SeededRng, Tensor,
@@ -124,9 +125,28 @@ fn bench_im2col(h: &mut Harness, rng: &mut SeededRng) {
     h.bench("im2col/lenet_conv1", 0, || im2col(&geo, input.data(), &mut cols));
 }
 
+/// An activation quantizer for standard-normal bench inputs: ±4σ over
+/// the 256 int8 steps, with a nonzero zero point so padding and the
+/// zero-point correction are on the measured path.
+fn bench_calibration() -> LayerCalibration {
+    LayerCalibration {
+        layer: "bench".into(),
+        observed_min: -4.0,
+        observed_max: 4.0,
+        range_lo: -4.0,
+        range_hi: 4.0,
+        scale: 8.0 / 255.0,
+        zero_point: -1,
+        clipped_fraction: 0.0,
+    }
+}
+
 /// Forward of every personality conv layer at paper scale (batch 2),
 /// through the real `Conv2d` layer so the fused path, its packing and
-/// the arena are all on the measured path.
+/// the arena are all on the measured path — then the same layer
+/// quantized (`QConv2d`), whose forward quantizes, packs patch rows and
+/// requantizes per sample, so `qconv_fwd/…` reads directly against
+/// `conv_fwd/…`.
 fn bench_personality_convs(h: &mut Harness, rng: &mut SeededRng) {
     use dlbench_data::DatasetKind;
     const BATCH: usize = 2;
@@ -153,6 +173,10 @@ fn bench_personality_convs(h: &mut Harness, rng: &mut SeededRng) {
                 h.bench(format!("conv_fwd/{}/conv{}", spec.name, i + 1), flops, || {
                     std::hint::black_box(conv.forward(&x, false));
                 });
+                let mut qconv = QConv2d::from_fp32(&conv, bench_calibration());
+                h.bench(format!("qconv_fwd/{}/conv{}", spec.name, i + 1), flops, || {
+                    std::hint::black_box(qconv.forward(&x, false));
+                });
             }
         }
     }
@@ -161,7 +185,8 @@ fn bench_personality_convs(h: &mut Harness, rng: &mut SeededRng) {
 /// The text-workload layers at their personality shapes (batch 2,
 /// native 256-token sequences): the embedding lookup is pure data
 /// movement (gather), the 3/4/5-width conv bank rides the packed
-/// im2col+GEMM path — together they are the text forward's hot loop.
+/// im2col+GEMM path and its int8 twin the packed int8 kernel — together
+/// they are the text forward's hot loop.
 fn bench_text_layers(h: &mut Harness, rng: &mut SeededRng) {
     const BATCH: usize = 2;
     let len = dlbench_data::DatasetKind::Imdb.native_size();
@@ -188,6 +213,10 @@ fn bench_text_layers(h: &mut Harness, rng: &mut SeededRng) {
             widths.iter().map(|w| 2 * (BATCH * filters * (w * dim) * (len - w + 1)) as u64).sum();
         h.bench(format!("conv1d_fwd/{name}"), flops, || {
             std::hint::black_box(bank.forward(&embedded, false));
+        });
+        let mut qbank = QConv1dBank::from_fp32(&bank, bench_calibration());
+        h.bench(format!("qconv1d_fwd/{name}"), flops, || {
+            std::hint::black_box(qbank.forward(&embedded, false));
         });
     }
 }

@@ -402,7 +402,7 @@ pub fn quantize(args: &ParsedArgs) -> Result<(), String> {
 
     // Modeled testing-time speedup: int8 GEMMs run at the device's
     // int8 throughput, fp32 fallback layers are charged unchanged.
-    let arch = trainer::build_cell_model(host, &setting, dataset, scale, seed);
+    let mut arch = trainer::build_cell_model(host, &setting, dataset, scale, seed);
     let size = scale.image_size(dataset);
     let batch = 100usize;
     let (ic, ih, iw) = trainer::input_dims(dataset, size);
@@ -420,6 +420,20 @@ pub fn quantize(args: &ParsedArgs) -> Result<(), String> {
             fp32_s / int8_s
         );
     }
+    // Measured on this host, beside the model: the same test batch
+    // through the fp32 architecture (weights do not change speed) and
+    // the int8 network. Wall clock stays out of every written document.
+    let idx: Vec<usize> = (0..batch.min(test.len())).collect();
+    let (images, _) = test.gather(&idx);
+    let x = preprocessing.apply(&images, &channel_means);
+    let (fp32_ms, int8_ms) = (best_forward_ms(&mut arch, &x), best_forward_ms(&mut qnet, &x));
+    println!(
+        "host test       fp32 {fp32_ms:.2}ms   int8 {int8_ms:.2}ms per {}-batch ({:.2}x speedup, \
+         measured, {} threads)",
+        idx.len(),
+        fp32_ms / int8_ms,
+        dlbench_tensor::par::threads()
+    );
 
     if let Some(path) = args.get("save") {
         dlbench_nn::save_quantized_path(&to_entries(&mut qnet), path)
@@ -428,6 +442,19 @@ pub fn quantize(args: &ParsedArgs) -> Result<(), String> {
     }
     trace_finish(trace)?;
     Ok(())
+}
+
+/// Best-of-five wall time of one inference forward of `x`, in ms,
+/// after a warm-up pass.
+fn best_forward_ms(net: &mut dlbench_nn::Network, x: &dlbench_tensor::Tensor) -> f64 {
+    net.forward(x, false);
+    (0..5)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            std::hint::black_box(net.forward(x, false));
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 /// `dlbench attack`

@@ -6,42 +6,52 @@
 use crate::network::LayerCalibration;
 use crate::qtensor::QTensor;
 use dlbench_nn::{token_row, Conv1dBank, Conv2d, Embedding, Layer, LayerCost, Linear, MaxOverTime};
-use dlbench_tensor::{gemm_i8, quantize_i8, Conv2dGeometry, Tensor};
-use dlbench_trace::{span, Category};
+use dlbench_tensor::{
+    gemm_i8_packed, pack_row_i8, par, quantize_i8, Conv2dGeometry, PackedI8, Tensor,
+};
+use dlbench_trace::{span, span_flops, Category};
 
 /// Rejects training-mode use: quantized layers have no gradients.
 fn inference_only(name: &str) -> ! {
     panic!("{name} is inference-only: quantized layers have no training mode or backward pass")
 }
 
-/// Per-output-channel sums of the quantized weights — the constant in
-/// the affine zero-point correction
-/// `y = s_x·s_w·(acc − z_x·wsum)` (exact in i32).
-fn weight_sums(rows: usize, cols: usize, data: &[i8]) -> Vec<i32> {
-    // `data` is row-major [rows, cols]; a Linear's transposed weight
-    // sums down columns, a Conv2d's patch matrix sums along rows, so
-    // the caller picks the orientation via (rows, cols).
-    let mut sums = vec![0i32; cols];
-    for r in 0..rows {
-        let row = &data[r * cols..(r + 1) * cols];
-        for (s, &v) in sums.iter_mut().zip(row) {
-            *s += v as i32;
-        }
+/// Runs `per_chunk(first_sample, out_chunk)` over disjoint chunks of
+/// whole samples of `out` (`sample_out` values each): in parallel when
+/// the batch's `macs` clear [`par::PAR_MIN_WORK`], inline otherwise —
+/// the fp32 `Conv2d` discipline. Each worker quantizes and packs its
+/// own samples, and i32 accumulation is exact, so the partition never
+/// changes a bit.
+fn for_sample_chunks<F>(out: &mut [f32], sample_out: usize, macs: usize, per_chunk: F)
+where
+    F: Fn(usize, &mut [f32]) + Sync,
+{
+    if out.is_empty() {
+        return;
     }
-    sums
+    if macs < par::PAR_MIN_WORK {
+        per_chunk(0, out);
+    } else {
+        par::par_row_chunks_mut(out, sample_out, per_chunk);
+    }
 }
 
-/// A quantized fully connected layer: symmetric int8 weights
-/// (pre-transposed to `[in, out]` so a single plain [`gemm_i8`] serves
-/// both quantized layer kinds), affine int8 input quantization, i32
-/// accumulation, fp32 requantized output.
+/// A quantized fully connected layer: symmetric int8 weights, affine
+/// int8 input quantization, i32 accumulation, fp32 requantized output.
+///
+/// The checkpoint form of the weights is transposed to `[in, out]`;
+/// the forward packs them once, at construction, as one
+/// [`PackedI8`] row per output feature, so each output is one
+/// dot product of a packed input row with a packed weight row.
 #[derive(Debug, Clone)]
 pub struct QLinear {
     in_features: usize,
     out_features: usize,
     /// Weights, transposed to `[in, out]`, symmetric (`zero_point` 0).
     weight_t: QTensor,
-    /// Per-output-column sums of `weight_t` (zero-point correction).
+    /// `weight_t`'s columns as packed rows: the `[out, in]` operand.
+    packed: PackedI8,
+    /// Per-output sums of the weights (zero-point correction).
     wsum: Vec<i32>,
     bias: Vec<f32>,
     /// Calibration record; its `(scale, zero_point)` is the input
@@ -53,8 +63,7 @@ impl QLinear {
     /// Quantizes a trained fp32 layer, given its calibration record.
     pub fn from_fp32(layer: &Linear, calibration: LayerCalibration) -> Self {
         let (inf, outf) = (layer.in_features(), layer.out_features());
-        // Transpose [out, in] → [in, out] so the forward GEMM is
-        // `x[n, in] @ w_t[in, out]` with unit-stride inner loops.
+        // Transpose [out, in] → [in, out], the checkpoint layout.
         let w = layer.weight().data();
         let mut w_t = vec![0.0f32; w.len()];
         for o in 0..outf {
@@ -68,7 +77,7 @@ impl QLinear {
 
     /// Assembles the layer from already-quantized parts (the
     /// checkpoint-load path — stored weights are reused bit-for-bit,
-    /// never re-quantized).
+    /// never re-quantized) and packs the weights for the forward.
     ///
     /// # Panics
     ///
@@ -78,8 +87,9 @@ impl QLinear {
         assert_eq!(weight_t.shape().len(), 2, "QLinear weight must be [in, out]");
         let (inf, outf) = (weight_t.shape()[0], weight_t.shape()[1]);
         assert_eq!(bias.len(), outf, "QLinear bias length mismatch");
-        let wsum = weight_sums(inf, outf, weight_t.data());
-        Self { in_features: inf, out_features: outf, weight_t, wsum, bias, calibration }
+        let packed = PackedI8::from_cols(inf, outf, weight_t.data());
+        let wsum = packed.row_sums();
+        Self { in_features: inf, out_features: outf, weight_t, packed, wsum, bias, calibration }
     }
 
     /// The quantized, transposed weight matrix.
@@ -116,20 +126,30 @@ impl Layer for QLinear {
         let n = input.shape()[0];
         assert_eq!(input.shape()[1], self.in_features, "QLinear feature mismatch");
         let _s = span(Category::Kernel, "qlinear");
+        let (inf, outf) = (self.in_features, self.out_features);
         let (act_scale, act_zero_point) = (self.calibration.scale, self.calibration.zero_point);
-        let mut xq = vec![0i8; input.len()];
-        quantize_i8(input.data(), act_scale, act_zero_point, &mut xq);
-        let mut acc = vec![0i32; n * self.out_features];
-        gemm_i8(n, self.in_features, self.out_features, &xq, self.weight_t.data(), &mut acc);
-        let mut out = Tensor::zeros(&[n, self.out_features]);
-        requantize_rows(
-            &acc,
-            &self.wsum,
-            &self.bias,
-            act_scale * self.weight_t.scale,
-            act_zero_point as i32,
-            out.data_mut(),
-        );
+        let s = act_scale * self.weight_t.scale;
+        let zx = act_zero_point as i32;
+        let kp = self.packed.stride();
+        let x = input.data();
+        let mut out = Tensor::zeros(&[n, outf]);
+        let macs = n * inf * outf;
+        let _g = span_flops(Category::Kernel, "gemm_i8", 2 * macs as u64);
+        // Each worker quantizes its own rows straight into the packed
+        // layout, then runs one `[rows, out]` product against the
+        // weights packed at construction.
+        for_sample_chunks(out.data_mut(), outf, macs, |first, out_rows| {
+            let rows = out_rows.len() / outf;
+            let mut xq = vec![0i8; rows * inf];
+            quantize_i8(&x[first * inf..(first + rows) * inf], act_scale, act_zero_point, &mut xq);
+            let mut xp = vec![0i16; rows * kp];
+            for r in 0..rows {
+                pack_row_i8(&xq[r * inf..(r + 1) * inf], &mut xp[r * kp..(r + 1) * kp]);
+            }
+            let mut acc = vec![0i32; rows * outf];
+            gemm_i8_packed(rows, outf, kp, &xp, self.packed.data(), &mut acc);
+            requantize_rows(&acc, &self.wsum, &self.bias, s, zx, out_rows);
+        });
         out
     }
 
@@ -160,52 +180,61 @@ fn requantize_rows(acc: &[i32], wsum: &[i32], bias: &[f32], s: f32, zx: i32, out
     }
 }
 
-/// [`dlbench_tensor::im2col`] over int8 values: unrolls one quantized
-/// image (`[C, H, W]`) into a `[patch_len, out_h·out_w]` patch matrix,
-/// filling padded taps with the activation `zero_point` — which is
+/// Writes one quantized image's (`[C, H, W]`) patch rows into the
+/// packed layout: row `p` of `cols` (stride `kp`) is output position
+/// `p`'s receptive field in `(channel, kernel row, kernel column)`
+/// order — the flattening of the `[oc, C, kh, kw]` weights — widened
+/// to `i16`. Padded taps take the activation `zero_point`, which is
 /// exactly what fp32 zero padding quantizes to, so the lowering
-/// commutes with quantization.
-pub fn im2col_i8(geo: &Conv2dGeometry, zero_point: i8, input: &[i8], cols: &mut [i8]) {
+/// commutes with quantization; lanes past `patch_len` are zero.
+fn pack_patch_rows(
+    geo: &Conv2dGeometry,
+    zero_point: i8,
+    input: &[i8],
+    kp: usize,
+    cols: &mut [i16],
+) {
     let (oh, ow) = (geo.out_h(), geo.out_w());
+    let (h, w, k) = (geo.in_h as isize, geo.in_w as isize, geo.kernel_w);
+    let zp = zero_point as i16;
     debug_assert_eq!(input.len(), geo.in_channels * geo.in_h * geo.in_w);
-    debug_assert_eq!(cols.len(), geo.patch_len() * oh * ow);
-    let mut row = 0usize;
-    for c in 0..geo.in_channels {
-        let plane = &input[c * geo.in_h * geo.in_w..(c + 1) * geo.in_h * geo.in_w];
-        for kh in 0..geo.kernel_h {
-            for kw in 0..geo.kernel_w {
-                let out_row = &mut cols[row * oh * ow..(row + 1) * oh * ow];
-                let mut idx = 0usize;
-                for oy in 0..oh {
-                    let iy = (oy * geo.stride + kh) as isize - geo.pad as isize;
-                    if iy < 0 || iy >= geo.in_h as isize {
-                        for _ in 0..ow {
-                            out_row[idx] = zero_point;
-                            idx += 1;
-                        }
-                        continue;
+    debug_assert_eq!(cols.len(), oh * ow * kp);
+    for (p, row) in cols.chunks_exact_mut(kp).enumerate() {
+        let (oy, ox) = (p / ow, p % ow);
+        let x0 = (ox * geo.stride) as isize - geo.pad as isize;
+        let mut taps = row.chunks_exact_mut(k);
+        for c in 0..geo.in_channels {
+            let plane = &input[c * geo.in_h * geo.in_w..(c + 1) * geo.in_h * geo.in_w];
+            for kh in 0..geo.kernel_h {
+                let dst = taps.next().expect("patch row holds every tap");
+                let y = (oy * geo.stride + kh) as isize - geo.pad as isize;
+                if y < 0 || y >= h {
+                    dst.fill(zp);
+                } else if x0 >= 0 && x0 + k as isize <= w {
+                    let start = y as usize * geo.in_w + x0 as usize;
+                    for (d, &v) in dst.iter_mut().zip(&plane[start..start + k]) {
+                        *d = v as i16;
                     }
-                    let iy = iy as usize;
-                    for ox in 0..ow {
-                        let ix = (ox * geo.stride + kw) as isize - geo.pad as isize;
-                        out_row[idx] = if ix < 0 || ix >= geo.in_w as isize {
-                            zero_point
+                } else {
+                    for (kw, d) in dst.iter_mut().enumerate() {
+                        let x = x0 + kw as isize;
+                        *d = if x < 0 || x >= w {
+                            zp
                         } else {
-                            plane[iy * geo.in_w + ix as usize]
+                            plane[y as usize * geo.in_w + x as usize] as i16
                         };
-                        idx += 1;
                     }
                 }
-                row += 1;
             }
         }
+        row[geo.patch_len()..].fill(0);
     }
 }
 
 /// A quantized 2-D convolution: symmetric int8 weights flattened to
-/// the `[out_channels, patch_len]` GEMM layout, affine int8 input
-/// quantization, per-sample `im2col_i8` lowering with zero-point
-/// padding, i32 accumulation and fp32 requantized output.
+/// `[out_channels, patch_len]` and packed once, affine int8 input
+/// quantization, patch rows packed per sample with zero-point padding,
+/// i32 accumulation and fp32 requantized output.
 #[derive(Debug, Clone)]
 pub struct QConv2d {
     in_channels: usize,
@@ -215,6 +244,8 @@ pub struct QConv2d {
     pad: usize,
     /// Weights flattened to `[out_channels, patch_len]`, symmetric.
     weight: QTensor,
+    /// `weight`'s rows, packed for [`gemm_i8_packed`].
+    packed: PackedI8,
     /// Per-output-channel sums of `weight` (zero-point correction).
     wsum: Vec<i32>,
     bias: Vec<f32>,
@@ -262,12 +293,20 @@ impl QConv2d {
         let (oc, patch) = (weight.shape()[0], weight.shape()[1]);
         assert_eq!(patch, in_channels * kernel * kernel, "QConv2d patch length mismatch");
         assert_eq!(bias.len(), oc, "QConv2d bias length mismatch");
-        // The patch matrix sums along rows: wsum[oc] = Σ_patch w[oc, ·].
-        let mut wsum = vec![0i32; oc];
-        for (o, s) in wsum.iter_mut().enumerate() {
-            *s = weight.data()[o * patch..(o + 1) * patch].iter().map(|&v| v as i32).sum();
+        let packed = PackedI8::from_rows(oc, patch, weight.data());
+        let wsum = packed.row_sums();
+        Self {
+            in_channels,
+            out_channels: oc,
+            kernel,
+            stride,
+            pad,
+            weight,
+            packed,
+            wsum,
+            bias,
+            calibration,
         }
-        Self { in_channels, out_channels: oc, kernel, stride, pad, weight, wsum, bias, calibration }
     }
 
     /// The lowering geometry for one `[C, in_h, in_w]` input sample.
@@ -334,28 +373,35 @@ impl Layer for QConv2d {
         // Per-tensor activation quantization: one parameter set for the
         // whole batch, so batching cannot change any sample's bits.
         let (act_scale, act_zero_point) = (self.calibration.scale, self.calibration.zero_point);
-        let mut xq = vec![0i8; input.len()];
-        quantize_i8(input.data(), act_scale, act_zero_point, &mut xq);
-
         let s = act_scale * self.weight.scale;
         let zx = act_zero_point as i32;
-        let mut out = Tensor::zeros(&[n, self.out_channels, oh, ow]);
-        let mut cols = vec![0i8; patch * plane];
-        let mut acc = vec![0i32; sample_out];
-        for (si, out_s) in out.data_mut().chunks_mut(sample_out).enumerate() {
-            im2col_i8(&geo, act_zero_point, &xq[si * sample_in..(si + 1) * sample_in], &mut cols);
-            acc.fill(0);
-            gemm_i8(self.out_channels, patch, plane, self.weight.data(), &cols, &mut acc);
-            for oc in 0..self.out_channels {
-                let corr = zx * self.wsum[oc];
-                let b = self.bias[oc];
-                let acc_plane = &acc[oc * plane..(oc + 1) * plane];
-                let out_plane = &mut out_s[oc * plane..(oc + 1) * plane];
-                for (o, &a) in out_plane.iter_mut().zip(acc_plane) {
-                    *o = s * (a - corr) as f32 + b;
+        let oc = self.out_channels;
+        let kp = self.packed.stride();
+        let x = input.data();
+        let mut out = Tensor::zeros(&[n, oc, oh, ow]);
+        let macs = n * oc * patch * plane;
+        let _g = span_flops(Category::Kernel, "gemm_i8", 2 * macs as u64);
+        for_sample_chunks(out.data_mut(), sample_out, macs, |first, out_chunk| {
+            let mut xq = vec![0i8; sample_in];
+            let mut cols = vec![0i16; plane * kp];
+            let mut acc = vec![0i32; sample_out];
+            for (si, out_s) in out_chunk.chunks_exact_mut(sample_out).enumerate() {
+                let src = &x[(first + si) * sample_in..(first + si + 1) * sample_in];
+                quantize_i8(src, act_scale, act_zero_point, &mut xq);
+                pack_patch_rows(&geo, act_zero_point, &xq, kp, &mut cols);
+                acc.fill(0);
+                gemm_i8_packed(oc, plane, kp, self.packed.data(), &cols, &mut acc);
+                for o in 0..oc {
+                    let corr = zx * self.wsum[o];
+                    let b = self.bias[o];
+                    let acc_plane = &acc[o * plane..(o + 1) * plane];
+                    let out_plane = &mut out_s[o * plane..(o + 1) * plane];
+                    for (y, &a) in out_plane.iter_mut().zip(acc_plane) {
+                        *y = s * (a - corr) as f32 + b;
+                    }
                 }
             }
-        }
+        });
         out
     }
 
@@ -473,12 +519,13 @@ impl Layer for QEmbedding {
 }
 
 /// One quantized branch of a [`QConv1dBank`]: symmetric int8 weights in
-/// the `[filters, width·embed_dim]` GEMM layout plus the zero-point
-/// correction sums.
+/// the `[filters, width·embed_dim]` layout, packed once, plus the
+/// zero-point correction sums.
 #[derive(Debug, Clone)]
 struct QConv1dBranch {
     width: usize,
     weight: QTensor,
+    packed: PackedI8,
     wsum: Vec<i32>,
     bias: Vec<f32>,
 }
@@ -500,8 +547,9 @@ impl QConv1dBranch {
 }
 
 /// A quantized sentence-CNN feature bank: per-branch symmetric int8
-/// conv weights lowered through [`im2col_i8`] + [`gemm_i8`] exactly like
-/// [`QConv2d`], one shared affine input quantizer (all branches read the
+/// conv weights on the packed kernel exactly like [`QConv2d`] (a
+/// window's patch row is `width` consecutive embedding rows), one
+/// shared affine input quantizer (all branches read the
 /// same embedded sequence), fp32 requantization, then fp32
 /// max-over-time pooling and branch-order concatenation to
 /// `[N, widths.len() · filters]`.
@@ -560,11 +608,9 @@ impl QConv1dBank {
                 assert_eq!(f, filters, "branch filter count mismatch");
                 assert_eq!(patch % embed_dim, 0, "branch patch not a width multiple");
                 assert_eq!(bias.len(), filters, "branch bias length mismatch");
-                let mut wsum = vec![0i32; f];
-                for (o, s) in wsum.iter_mut().enumerate() {
-                    *s = weight.data()[o * patch..(o + 1) * patch].iter().map(|&v| v as i32).sum();
-                }
-                QConv1dBranch { width: patch / embed_dim, weight, wsum, bias }
+                let packed = PackedI8::from_rows(f, patch, weight.data());
+                let wsum = packed.row_sums();
+                QConv1dBranch { width: patch / embed_dim, weight, packed, wsum, bias }
             })
             .collect();
         Self { filters, embed_dim, branches, calibration }
@@ -622,55 +668,63 @@ impl Layer for QConv1dBank {
         assert_eq!(c, 1, "QConv1dBank expects a single input channel");
         assert_eq!(e, self.embed_dim, "embedding-dimension mismatch");
         let _s = span(Category::Kernel, "qconv1d_bank");
+        for branch in &self.branches {
+            assert!(l >= branch.width, "sequence shorter than kernel window");
+        }
 
         // One per-tensor quantization of the shared input: every branch
         // sees the same int8 sequence, and batching cannot change bits.
         let (act_scale, act_zero_point) = (self.calibration.scale, self.calibration.zero_point);
-        let mut xq = vec![0i8; input.len()];
-        quantize_i8(input.data(), act_scale, act_zero_point, &mut xq);
-
         let f = self.filters;
         let total = self.out_features();
         let sample_in = l * e;
         let zx = act_zero_point as i32;
+        let x = input.data();
         let mut out = Tensor::zeros(&[n, total]);
-        for (b, branch) in self.branches.iter().enumerate() {
-            assert!(l >= branch.width, "sequence shorter than kernel window");
-            let geo = branch.geometry(l, e);
-            let plane = geo.out_plane();
-            let patch = geo.patch_len();
-            let s = act_scale * branch.weight.scale;
-            let mut cols = vec![0i8; patch * plane];
-            let mut acc = vec![0i32; f * plane];
-            for si in 0..n {
-                im2col_i8(
-                    &geo,
-                    act_zero_point,
-                    &xq[si * sample_in..(si + 1) * sample_in],
-                    &mut cols,
-                );
-                acc.fill(0);
-                gemm_i8(f, patch, plane, branch.weight.data(), &cols, &mut acc);
-                let out_row = &mut out.data_mut()[si * total + b * f..si * total + (b + 1) * f];
-                for (oc, o) in out_row.iter_mut().enumerate() {
-                    let corr = zx * branch.wsum[oc];
-                    let bias = branch.bias[oc];
-                    let acc_plane = &acc[oc * plane..(oc + 1) * plane];
-                    // Requantize then max-over-time with the fp32 tie
-                    // rule (strict >, earliest wins). Requantization is
-                    // monotone in the i32 accumulator, but ties must be
-                    // broken on the fp32 values to match the fallback.
-                    let mut best = s * (acc_plane[0] - corr) as f32 + bias;
-                    for &a in &acc_plane[1..] {
-                        let v = s * (a - corr) as f32 + bias;
-                        if v > best {
-                            best = v;
-                        }
+        let macs: usize =
+            self.branches.iter().map(|b| n * f * b.width * e * (l - b.width + 1)).sum();
+        let _g = span_flops(Category::Kernel, "gemm_i8", 2 * macs as u64);
+        for_sample_chunks(out.data_mut(), total, macs, |first, out_chunk| {
+            let mut xq = vec![0i8; sample_in];
+            let mut cols = Vec::new();
+            let mut acc = Vec::new();
+            for (si, out_row) in out_chunk.chunks_exact_mut(total).enumerate() {
+                let src = &x[(first + si) * sample_in..(first + si + 1) * sample_in];
+                quantize_i8(src, act_scale, act_zero_point, &mut xq);
+                for (branch, out_b) in self.branches.iter().zip(out_row.chunks_exact_mut(f)) {
+                    let plane = l - branch.width + 1;
+                    let patch = branch.width * e;
+                    let kp = branch.packed.stride();
+                    // Window `t`'s patch row is embedding rows
+                    // `t..t + width`: one contiguous run of the sample.
+                    cols.resize(plane * kp, 0);
+                    for (t, dst) in cols.chunks_exact_mut(kp).enumerate() {
+                        pack_row_i8(&xq[t * e..t * e + patch], dst);
                     }
-                    *o = best;
+                    acc.clear();
+                    acc.resize(f * plane, 0);
+                    gemm_i8_packed(f, plane, kp, branch.packed.data(), &cols, &mut acc);
+                    let s = act_scale * branch.weight.scale;
+                    for (oc, o) in out_b.iter_mut().enumerate() {
+                        let corr = zx * branch.wsum[oc];
+                        let bias = branch.bias[oc];
+                        let acc_plane = &acc[oc * plane..(oc + 1) * plane];
+                        // Requantize then max-over-time with the fp32 tie
+                        // rule (strict >, earliest wins). Requantization is
+                        // monotone in the i32 accumulator, but ties must be
+                        // broken on the fp32 values to match the fallback.
+                        let mut best = s * (acc_plane[0] - corr) as f32 + bias;
+                        for &a in &acc_plane[1..] {
+                            let v = s * (a - corr) as f32 + bias;
+                            if v > best {
+                                best = v;
+                            }
+                        }
+                        *o = best;
+                    }
                 }
             }
-        }
+        });
         out
     }
 

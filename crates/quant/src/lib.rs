@@ -17,15 +17,16 @@
 //!       Linear/Conv2d/Embedding/Conv1dBank → QLinear/QConv2d/
 //!       QEmbedding/QConv1dBank: inference-only Layers owning their
 //!       calibration (symmetric weights, affine activations,
-//!       i32-accumulate gemm_i8, requantize between layers);
+//!       i32-accumulate packed int8 kernel, requantize between layers);
 //!       every other layer stays as it was in fp32
 //! ```
 //!
 //! * Weights are quantized **symmetrically per tensor** (`zero_point =
 //!   0`, scale `max|w| / 127`); activations **affinely** from the
 //!   calibrated range, so the quantized layer computes
-//!   `y = s_x·s_w·(Σ x_q·w_q − z_x·Σ w_q) + bias` with a single
-//!   [`dlbench_tensor::gemm_i8`] in i32.
+//!   `y = s_x·s_w·(Σ x_q·w_q − z_x·Σ w_q) + bias` on
+//!   [`dlbench_tensor::gemm_i8_packed`] in i32, the weights packed once
+//!   per layer.
 //! * Determinism: i32 accumulation is exact, quantize/dequantize are
 //!   per-element, and the fp32 layers keep the suite's
 //!   fixed-reduction-chain contract — quantized inference is
@@ -53,7 +54,7 @@ pub use convert::{
     calibration_shard, cost_split, quantize_checkpoint, quantize_checkpoint_path, quantize_network,
     quantize_trained, QuantConfig,
 };
-pub use layers::{im2col_i8, QConv1dBank, QConv2d, QEmbedding, QLinear};
+pub use layers::{QConv1dBank, QConv2d, QEmbedding, QLinear};
 pub use network::{calibration, from_entries, to_entries, LayerCalibration, QuantizedNetwork};
 pub use observer::RangeObserver;
 pub use qtensor::QTensor;

@@ -46,7 +46,9 @@ pub use fused::{conv_forward_fused, PackedConvWeight};
 pub use im2col::{col2im, im2col, Conv2dGeometry};
 pub use linalg::{gemm, gemm_a_bt, gemm_at_b, gemm_bias};
 pub use ops::accuracy;
-pub use qlinalg::{dequantize_i8, gemm_i8, quantize_i8};
+pub use qlinalg::{
+    dequantize_i8, gemm_i8, gemm_i8_packed, pack_row_i8, quantize_i8, PackedI8, K_ALIGN,
+};
 pub use rng::SeededRng;
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -10,11 +10,21 @@
 //! per-element operation sequence — so the optimized kernels must
 //! reproduce the naive triple loop bit for bit, on every shape
 //! including ragged tails, empty dims and 1×1, at any thread count.
+//!
+//! The int8 path has the same gate with a stronger reason: i32
+//! accumulation is exact, so the packed dot-product kernel, `gemm_i8`
+//! and the sample-parallel quantized layers must equal a naive i32
+//! triple loop (and a materialized im2col oracle) bit for bit, whatever
+//! their tiling, padding, k-blocking or partition.
 
 use dlbench_data::DatasetKind;
-use dlbench_frameworks::{arch_defaults, FrameworkKind};
-use dlbench_nn::{Conv2d, Initializer, Layer};
-use dlbench_tensor::{gemm, gemm_a_bt, gemm_at_b, gemm_bias, par, SeededRng, Tensor};
+use dlbench_frameworks::{arch_defaults, trainer, FrameworkKind, Scale};
+use dlbench_nn::{Conv1dBank, Conv2d, Initializer, Layer, Linear};
+use dlbench_quant::{LayerCalibration, QConv1dBank, QConv2d, QLinear, QTensor};
+use dlbench_tensor::{
+    gemm, gemm_a_bt, gemm_at_b, gemm_bias, gemm_i8, gemm_i8_packed, im2col, par, quantize_i8,
+    Conv2dGeometry, PackedI8, SeededRng, Tensor,
+};
 use std::sync::Mutex;
 
 /// Serializes tests that mutate the global worker count.
@@ -216,6 +226,243 @@ fn fused_conv_forward_is_bitwise_transparent_for_all_personalities() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// The int8 reference: `c[i,j] += Σ_kk a[i,kk]·b[kk,j]` in i32, `a`
+/// `[m, k]` and `b` `[k, n]` row-major.
+fn naive_gemm_i8(m: usize, k: usize, n: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
+    for i in 0..m {
+        for j in 0..n {
+            for kk in 0..k {
+                c[i * n + j] += a[i * k + kk] as i32 * b[kk * n + j] as i32;
+            }
+        }
+    }
+}
+
+fn random_i8(len: usize, rng: &mut SeededRng) -> Vec<i8> {
+    (0..len).map(|_| (rng.index(256) as i64 - 128) as i8).collect()
+}
+
+/// Runs both int8 entry points — `gemm_i8` at 1 and 4 threads, and the
+/// packed kernel on operands packed by `PackedI8` — from a nonzero
+/// destination, asserting each equals the naive loop.
+fn assert_int8_gemm_matches_naive(m: usize, k: usize, n: usize, a: &[i8], b: &[i8]) {
+    let c0: Vec<i32> = (0..m * n).map(|i| i as i32 * 7 - 300).collect();
+    let mut want = c0.clone();
+    naive_gemm_i8(m, k, n, a, b, &mut want);
+    for threads in [1, 4] {
+        let mut got = c0.clone();
+        at_threads(threads, || gemm_i8(m, k, n, a, b, &mut got));
+        assert_eq!(got, want, "gemm_i8 {m}x{k}x{n} @ {threads} threads");
+    }
+    let (ap, bp) = (PackedI8::from_rows(m, k, a), PackedI8::from_cols(k, n, b));
+    assert_eq!(ap.stride(), bp.stride());
+    let mut got = c0.clone();
+    gemm_i8_packed(m, n, ap.stride(), ap.data(), bp.data(), &mut got);
+    assert_eq!(got, want, "gemm_i8_packed {m}x{k}x{n}");
+}
+
+#[test]
+fn int8_kernels_match_naive_reference_bitwise() {
+    let _gate = gate();
+    let mut rng = SeededRng::new(0x1A8);
+    // Ragged k against the 16-lane padding and the 512-lane k-block,
+    // odd m/n against the 2×2 tile, n = 1 and m = 1 (the per-sample
+    // conv planes), empty dims, and sizes past `par::PAR_MIN_WORK`.
+    let shapes: &[(usize, usize, usize)] = &[
+        (1, 1, 1),
+        (2, 16, 2),
+        (3, 17, 5),
+        (7, 33, 9),
+        (64, 800, 1),
+        (1, 100, 37),
+        (0, 4, 4),
+        (4, 0, 4),
+        (4, 4, 0),
+        (5, 1100, 3),
+        (96, 300, 80),
+        (129, 75, 63),
+    ];
+    for &(m, k, n) in shapes {
+        let a = random_i8(m * k, &mut rng);
+        let b = random_i8(k * n, &mut rng);
+        assert_int8_gemm_matches_naive(m, k, n, &a, &b);
+    }
+    // The deepest reduction the suite issues at the extreme products:
+    // 4096 · 127 · (−128) and 4096 · (−128)², still inside i32.
+    let (m, k, n) = (3, 4096, 5);
+    for (x, y) in [(127i8, -128i8), (-128, -128)] {
+        assert_int8_gemm_matches_naive(m, k, n, &vec![x; m * k], &vec![y; k * n]);
+    }
+}
+
+/// An activation quantizer `(scale, zero_point)` with a nonzero zero
+/// point, so padding and the `z_x · Σw` correction are exercised.
+fn act_calibration(scale: f32, zero_point: i8) -> LayerCalibration {
+    LayerCalibration {
+        layer: "oracle".into(),
+        observed_min: -1.0,
+        observed_max: 1.0,
+        range_lo: -1.0,
+        range_hi: 1.0,
+        scale,
+        zero_point,
+        clipped_fraction: 0.0,
+    }
+}
+
+fn quantized(x: &Tensor, cal: &LayerCalibration) -> Vec<i8> {
+    let mut q = vec![0i8; x.len()];
+    quantize_i8(x.data(), cal.scale, cal.zero_point, &mut q);
+    q
+}
+
+/// Per-output-row sums of a `[rows, cols]` int8 matrix.
+fn row_sums(w: &QTensor) -> Vec<i32> {
+    let cols = w.shape()[1];
+    w.data().chunks(cols).map(|r| r.iter().map(|&v| v as i32).sum()).collect()
+}
+
+/// The materialized int8 convolution of one quantized sample:
+/// `im2col` with zero-point padding (the fp32 lowering of `q − z_x`,
+/// shifted back by `z_x`), then the naive i32 GEMM against the
+/// `[oc, patch]` weights. Returns `[oc, plane]` accumulators.
+fn oracle_conv_acc(geo: &Conv2dGeometry, zero_point: i8, xq: &[i8], w: &QTensor) -> Vec<i32> {
+    let (patch, plane) = (geo.patch_len(), geo.out_plane());
+    let centered: Vec<f32> = xq.iter().map(|&q| (q as i32 - zero_point as i32) as f32).collect();
+    let mut cols = vec![0.0f32; patch * plane];
+    im2col(geo, &centered, &mut cols);
+    let cols: Vec<i8> = cols.iter().map(|&v| (v as i32 + zero_point as i32) as i8).collect();
+    let oc = w.shape()[0];
+    let mut acc = vec![0i32; oc * plane];
+    naive_gemm_i8(oc, patch, plane, w.data(), &cols, &mut acc);
+    acc
+}
+
+/// The layers' requantize expression, per element.
+fn requantize(acc: i32, s: f32, zx: i32, wsum: i32, bias: f32) -> f32 {
+    s * (acc - zx * wsum) as f32 + bias
+}
+
+/// Every personality conv layer (images: `QConv2d`; IMDB:
+/// `QConv1dBank`, one branch per geometry) must equal the materialized
+/// oracle bit for bit, serial and at 4 threads.
+#[test]
+fn quantized_conv_layers_match_materialized_oracle_bitwise() {
+    let _gate = gate();
+    let mut rng = SeededRng::new(0x1A9);
+    const BATCH: usize = 3;
+    for fw in FrameworkKind::ALL {
+        for ds in [DatasetKind::Mnist, DatasetKind::Cifar10, DatasetKind::Imdb] {
+            let spec = arch_defaults(fw, ds);
+            let dims = trainer::input_dims(ds, Scale::Paper.image_size(ds));
+            for (i, (geo, oc)) in spec.conv_geometries(dims).into_iter().enumerate() {
+                let label = format!("{}/conv{}", spec.name, i + 1);
+                let x = Tensor::randn(
+                    &[BATCH, geo.in_channels, geo.in_h, geo.in_w],
+                    0.0,
+                    1.0,
+                    &mut rng,
+                );
+                let cal = act_calibration(0.03, -17);
+                let (s_x, zx) = (cal.scale, cal.zero_point as i32);
+                let xq = quantized(&x, &cal);
+                let sample_in = geo.in_channels * geo.in_h * geo.in_w;
+                let plane = geo.out_plane();
+                let (mut layer, want): (Box<dyn Layer>, Vec<f32>) = if ds.is_text() {
+                    let fp32 = Conv1dBank::new(
+                        oc,
+                        &[geo.kernel_h],
+                        geo.kernel_w,
+                        Initializer::Xavier,
+                        &mut rng,
+                    );
+                    let q = QConv1dBank::from_fp32(&fp32, cal.clone());
+                    let (w, bias) = q.branch_parts()[0];
+                    let wsum = row_sums(w);
+                    let mut want = Vec::new();
+                    for xs in xq.chunks(sample_in) {
+                        let acc = oracle_conv_acc(&geo, cal.zero_point, xs, w);
+                        for o in 0..oc {
+                            let v = acc[o * plane..(o + 1) * plane]
+                                .iter()
+                                .map(|&a| requantize(a, s_x * w.scale, zx, wsum[o], bias[o]));
+                            // Max over time, earliest of equals.
+                            want.push(v.reduce(|best, v| if v > best { v } else { best }).unwrap());
+                        }
+                    }
+                    (Box::new(q), want)
+                } else {
+                    let fp32 = Conv2d::new(
+                        geo.in_channels,
+                        oc,
+                        geo.kernel_h,
+                        geo.stride,
+                        geo.pad,
+                        Initializer::Xavier,
+                        &mut rng,
+                    );
+                    let q = QConv2d::from_fp32(&fp32, cal.clone());
+                    let (w, bias) = (q.weight(), q.bias());
+                    let wsum = row_sums(w);
+                    let mut want = Vec::new();
+                    for xs in xq.chunks(sample_in) {
+                        let acc = oracle_conv_acc(&geo, cal.zero_point, xs, w);
+                        for (j, &a) in acc.iter().enumerate() {
+                            let o = j / plane;
+                            want.push(requantize(a, s_x * w.scale, zx, wsum[o], bias[o]));
+                        }
+                    }
+                    (Box::new(q), want)
+                };
+                for threads in [1, 4] {
+                    let got = at_threads(threads, || layer.forward(&x, false));
+                    assert_eq!(
+                        bits(got.data()),
+                        bits(&want),
+                        "{label} int8 != oracle @ {threads} threads"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// `QLinear` against the naive `[n, in] @ [in, out]` oracle, at shapes
+/// from a single sample up to a batch past `par::PAR_MIN_WORK`.
+#[test]
+fn quantized_linear_matches_naive_oracle_bitwise() {
+    let _gate = gate();
+    let mut rng = SeededRng::new(0x1AA);
+    for (n, inf, outf) in [(1usize, 1usize, 1usize), (5, 33, 17), (64, 800, 10), (100, 1024, 64)] {
+        let fp32 = Linear::new(inf, outf, Initializer::Xavier, &mut rng);
+        let cal = act_calibration(0.02, 9);
+        let mut q = QLinear::from_fp32(&fp32, cal.clone());
+        let x = Tensor::randn(&[n, inf], 0.0, 1.0, &mut rng);
+        let xq = quantized(&x, &cal);
+        let w = q.weight_t();
+        let mut acc = vec![0i32; n * outf];
+        naive_gemm_i8(n, inf, outf, &xq, w.data(), &mut acc);
+        let mut wsum = vec![0i32; outf];
+        for row in w.data().chunks(outf) {
+            for (s, &v) in wsum.iter_mut().zip(row) {
+                *s += v as i32;
+            }
+        }
+        let want: Vec<f32> = acc
+            .iter()
+            .enumerate()
+            .map(|(j, &a)| {
+                let o = j % outf;
+                requantize(a, cal.scale * w.scale, cal.zero_point as i32, wsum[o], q.bias()[o])
+            })
+            .collect();
+        for threads in [1, 4] {
+            let got = at_threads(threads, || q.forward(&x, false));
+            assert_eq!(bits(got.data()), bits(&want), "qlinear {n}x{inf}->{outf} @ {threads}");
         }
     }
 }

@@ -194,3 +194,51 @@ fn int8_spec_adopts_v1_and_v2_checkpoints() {
         assert_eq!(a, b, "v2 adoption must be bit-identical to the source quantization");
     }
 }
+
+/// FNV-1a over the little-endian bytes of each value's bit pattern.
+fn digest_bits(values: &[f32]) -> u64 {
+    values.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+        v.to_bits()
+            .to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    })
+}
+
+/// Cross-commit int8 bit pin: the int8 logits of a trained, quantized
+/// cell over its first 100 test samples (one batch-100 forward) must
+/// digest to the recorded value. Run-to-run comparisons only prove a
+/// binary agrees with itself; this pins the bits across kernel
+/// rewrites — any change to int8 packing, tiling, partitioning or
+/// requantization that moves one logit bit fails here.
+#[test]
+fn int8_logits_match_the_pinned_digest() {
+    let cells = [
+        (FrameworkKind::TensorFlow, DatasetKind::Mnist, 0x302f_f5c9_7331_4272u64),
+        (FrameworkKind::Torch, DatasetKind::Imdb, 0x3a1c_d8e0_c943_af11),
+    ];
+    let mut got = Vec::new();
+    for (host, dataset, _) in cells {
+        let setting = DefaultSetting::new(host, dataset);
+        let out = trainer::run_training(host, setting, dataset, Scale::Tiny, TEST_SEED);
+        let (train, test) = trainer::generate_data(dataset, Scale::Tiny, TEST_SEED);
+        let (preprocessing, channel_means) =
+            trainer::cell_preprocessing(host, &setting, dataset, || train);
+        let mut q = quantize_trained(
+            out.model,
+            host,
+            &setting,
+            dataset,
+            Scale::Tiny,
+            TEST_SEED,
+            &QuantConfig::default(),
+        );
+        let idx: Vec<usize> = (0..100.min(test.len())).collect();
+        assert_eq!(idx.len(), 100, "{host:?}-{dataset:?} test split is shorter than 100");
+        let (images, _) = test.gather(&idx);
+        let x = preprocessing.apply(&images, &channel_means);
+        got.push(digest_bits(q.forward(&x, false).data()));
+    }
+    let want: Vec<u64> = cells.iter().map(|c| c.2).collect();
+    assert_eq!(got, want, "int8 logits moved: digests {got:#x?}");
+}
